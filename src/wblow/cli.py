@@ -3,13 +3,20 @@
 Parses singularity/weight-system notation, dispatches to the library, and
 emits reports as human-readable text or deterministic JSON (stable key
 order, rationals as "p/q" strings, schema_version pinned).  Exit codes:
-0 success, 1 domain error (bad input, enumeration cap), 2 verification
-failure (a checker reported fail), 3 internal-consistency failure.
+0 success, 1 domain error (bad input, argv usage error, enumeration cap),
+2 verification failure (a checker reported fail), 3 internal-consistency
+failure.
+
+Every command is defined once, in ``COMMANDS``: its handler, whether it
+takes a target, its help line and its parameters.  The argparse subparsers,
+``validate_spec``, dispatch and ``spec_from_args`` are all generated from
+that table, so argv and batch entries are validated by the same code.
 
 The environment variable WBLOW_MAX_ENUM caps enumeration box sizes
 (default 50 million lattice points); exceeding the cap exits 1 with a clear
 message.  Batch files are JSON lists of run specifications; batch results
-are emitted in input order and the aggregate exit code is the maximum of
+are emitted in input order, a malformed entry yields an invalid-instance
+report for that entry alone, and the aggregate exit code is the maximum of
 the individual ones.
 """
 
@@ -18,12 +25,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blowup, lifting, quotient, wideal
 from .errors import (
+    BatchUnreadableError,
     InternalConsistencyError,
     InvalidInstanceError,
     NotationError,
@@ -139,6 +147,13 @@ def _render_text(value, prefix: str):
     return [f"{prefix[:-1]}: {value}"]
 
 
+def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
+    error = {"kind": exc.kind, "message": str(exc)}
+    if isinstance(exc, NotationError):
+        error["position"] = exc.position
+    return Report(command, input_echo, "error", exit_code_for(exc), error=error)
+
+
 # ---------------------------------------------------------------------------
 # JSON-friendly conversions (deterministic, rationals as "p/q")
 
@@ -195,71 +210,6 @@ def _check_dict(report: lifting.CheckReport) -> dict:
             "explanation": v.explanation,
         }
     return payload
-
-
-# ---------------------------------------------------------------------------
-# Parameter schemas: commands validate their parameters before dispatch.
-
-_INT = ("int",)
-_STR = ("str",)
-_BOOL = ("bool",)
-
-PARAMETER_SCHEMAS = {
-    "charts": {"target": True, "required": {}, "optional": {"chart": _INT}},
-    "fan": {"target": True, "required": {}, "optional": {"grid": _INT}},
-    "ideal": {"target": True, "required": {"k": _STR}, "optional": {}},
-    "wt": {"target": True, "required": {"poly": _STR}, "optional": {}},
-    "pushforward": {"target": True, "required": {"f": _STR}, "optional": {"a_max": _INT}},
-    "transform": {"target": True, "required": {"g": _STR, "chart": _INT}, "optional": {}},
-    "lift-check": {
-        "target": False,
-        "required": {"sigma_prime": _STR, "m": _INT, "a": _INT},
-        "optional": {"dmax": _INT, "degree_bound": _INT, "mutate": _INT, "threads": _INT},
-    },
-    "chain": {"target": True, "required": {"a_sequence": _STR}, "optional": {"dmax": _INT}},
-    "invariants": {"target": True, "required": {}, "optional": {"degree_bound": _INT}},
-    "example33": {
-        "target": False,
-        "required": {"r": _INT, "m": _INT, "a": _INT},
-        "optional": {"exponent_n": _INT},
-    },
-    "truncation": {
-        "target": True,
-        "required": {},
-        "optional": {"b": _STR, "d": _INT, "find_stable": _BOOL, "dmax": _INT, "limit": _INT},
-    },
-}
-
-_TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-}
-
-
-def validate_spec(spec: RunSpec) -> None:
-    """Check the command name and parameter names/types against the schema."""
-    schema = PARAMETER_SCHEMAS.get(spec.command)
-    if schema is None:
-        raise InvalidInstanceError(f"unknown command {spec.command!r}")
-    if spec.output_format not in ("text", "json"):
-        raise InvalidInstanceError(f"unknown output format {spec.output_format!r}")
-    if schema["target"] and not spec.target:
-        raise InvalidInstanceError(f"command {spec.command!r} requires a target")
-    if not schema["target"] and spec.target:
-        raise InvalidInstanceError(f"command {spec.command!r} takes no target")
-    allowed = {**schema["required"], **schema["optional"]}
-    for name, value in spec.parameters.items():
-        if name not in allowed:
-            raise InvalidInstanceError(f"unknown parameter {name!r} for {spec.command!r}")
-        (type_name,) = allowed[name]
-        if not _TYPE_CHECKS[type_name](value):
-            raise InvalidInstanceError(
-                f"parameter {name!r} of {spec.command!r} must be {type_name}, got {value!r}"
-            )
-    for name in schema["required"]:
-        if name not in spec.parameters:
-            raise InvalidInstanceError(f"missing parameter {name!r} for {spec.command!r}")
 
 
 def _csv_ints(text: str, what: str) -> tuple:
@@ -393,14 +343,7 @@ def _cmd_lift_check(spec: RunSpec):
         inst = lifting.mutated_instance(inst, mutate)
     d_max = spec.parameters.get("dmax", 6)
     degree_bound = spec.parameters.get("degree_bound")
-    threads = spec.parameters.get("threads", 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report = lifting.verify_decomposition_range(
-                inst, d_max, degree_bound, map_fn=pool.map
-            )
-    else:
-        report = lifting.verify_decomposition_range(inst, d_max, degree_bound)
+    report = lifting.verify_decomposition_range(inst, d_max, degree_bound)
     result = {
         "instance": _instance_dict(inst),
         "mutated": mutate is not None,
@@ -565,140 +508,201 @@ def _cmd_truncation(spec: RunSpec):
     return result, [], True
 
 
-_HANDLERS = {
-    "charts": _cmd_charts,
-    "fan": _cmd_fan,
-    "ideal": _cmd_ideal,
-    "wt": _cmd_wt,
-    "pushforward": _cmd_pushforward,
-    "transform": _cmd_transform,
-    "lift-check": _cmd_lift_check,
-    "chain": _cmd_chain,
-    "invariants": _cmd_invariants,
-    "example33": _cmd_example33,
-    "truncation": _cmd_truncation,
+# ---------------------------------------------------------------------------
+# The command table: argparse, validation and dispatch are generated from it.
+
+
+@dataclass(frozen=True)
+class Param:
+    """A command parameter; its flag is ``--`` + name with ``_`` as ``-``."""
+
+    name: str
+    type: type  # int, str or bool (a bool is a flag that takes no value)
+    required: bool = False
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    handler: Callable[[RunSpec], tuple]
+    target: bool
+    help: str
+    params: tuple[Param, ...] = ()
+
+
+COMMANDS = {
+    "charts": Command(_cmd_charts, True, "chart types and substitutions", (Param("chart", int),)),
+    "fan": Command(_cmd_fan, True, "subdivision fan and its checks", (Param("grid", int),)),
+    "ideal": Command(
+        _cmd_ideal, True, "minimal generators at a threshold",
+        (Param("k", str, True, "threshold, as 'p/q' or an integer"),),
+    ),
+    "wt": Command(_cmd_wt, True, "weight of a polynomial", (Param("poly", str, True),)),
+    "pushforward": Command(
+        _cmd_pushforward, True, "divisor pullback decomposition",
+        (Param("f", str, True, "semi-invariant equation"), Param("a_max", int)),
+    ),
+    "transform": Command(
+        _cmd_transform, True, "strict transform in one chart",
+        (Param("g", str, True), Param("chart", int, True)),
+    ),
+    "lift-check": Command(
+        _cmd_lift_check, False, "decomposition identity sweep",
+        (
+            Param("sigma_prime", str, True), Param("m", int, True), Param("a", int, True),
+            Param("dmax", int), Param("degree_bound", int), Param("mutate", int),
+        ),
+    ),
+    "chain": Command(
+        _cmd_chain, True, "iterated lifting chain",
+        (Param("a_sequence", str, True), Param("dmax", int)),
+    ),
+    "invariants": Command(
+        _cmd_invariants, True, "invariant monomial basis", (Param("degree_bound", int),)
+    ),
+    "example33": Command(
+        _cmd_example33, False, "bundled worked surface example",
+        (Param("r", int, True), Param("m", int, True), Param("a", int, True), Param("exponent_n", int)),
+    ),
+    "truncation": Command(
+        _cmd_truncation, True, "power vs truncation ideals",
+        (
+            Param("b", str, help="threshold step multiple, as 'p/q'"), Param("d", int),
+            Param("find_stable", bool), Param("dmax", int), Param("limit", int),
+        ),
+    ),
 }
+
+
+def _has_type(value, type_: type) -> bool:
+    # bool is a subclass of int, but True is not an int parameter
+    return isinstance(value, type_) and (type_ is bool or not isinstance(value, bool))
+
+
+def validate_spec(spec: RunSpec) -> None:
+    """Check the command, target and parameter names, types and presence."""
+    command = COMMANDS.get(spec.command)
+    if command is None:
+        raise InvalidInstanceError(f"unknown command {spec.command!r}")
+    if spec.output_format not in ("text", "json"):
+        raise InvalidInstanceError(f"unknown output format {spec.output_format!r}")
+    if command.target and not spec.target:
+        raise InvalidInstanceError(f"command {spec.command!r} requires a target")
+    if not command.target and spec.target:
+        raise InvalidInstanceError(f"command {spec.command!r} takes no target")
+    params = {p.name: p for p in command.params}
+    for name, value in spec.parameters.items():
+        param = params.get(name)
+        if param is None:
+            raise InvalidInstanceError(f"unknown parameter {name!r} for {spec.command!r}")
+        if not _has_type(value, param.type):
+            raise InvalidInstanceError(
+                f"parameter {name!r} of {spec.command!r} must be {param.type.__name__},"
+                f" got {value!r}"
+            )
+    for p in command.params:
+        if p.required and p.name not in spec.parameters:
+            raise InvalidInstanceError(f"missing parameter {p.name!r} for {spec.command!r}")
 
 
 def run(spec: RunSpec) -> Report:
     """Validate, dispatch, and wrap the outcome in a Report with an exit code."""
-    # threads is an execution knob, not an input: keep it out of the echo so
-    # reports are byte-identical across thread-count settings
-    input_echo = {
-        "target": spec.target,
-        "parameters": {k: v for k, v in sorted(spec.parameters.items()) if k != "threads"},
-    }
+    input_echo = {"target": spec.target, "parameters": dict(sorted(spec.parameters.items()))}
     try:
         validate_spec(spec)
-        result, provenance, ok = _HANDLERS[spec.command](spec)
+        result, provenance, ok = COMMANDS[spec.command].handler(spec)
     except WblowError as exc:
-        error = {"kind": exc.kind, "message": str(exc)}
-        if isinstance(exc, NotationError):
-            error["position"] = exc.position
-        return Report(
-            command=spec.command,
-            input=input_echo,
-            status="error",
-            exit_code=exit_code_for(exc),
-            error=error,
-        )
-    status = "ok" if ok else "verification-failed"
+        return _error_report(spec.command, input_echo, exc)
     return Report(
         command=spec.command,
         input=input_echo,
-        status=status,
+        status="ok" if ok else "verification-failed",
         exit_code=0 if ok else 2,
         result=result,
         provenance=provenance,
     )
 
 
-def run_batch(path: str, threads: int = 1) -> tuple[dict, int]:
-    """Run every spec in a JSON batch file; results in input order, exit = max code."""
+# ---------------------------------------------------------------------------
+# Batch files
+
+
+def _read_batch(path: str) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "batch",
-            "input": {"path": path},
-            "status": "error",
-            "exit_code": 1,
-            "result": None,
-            "error": {"kind": "batch-unreadable", "message": str(exc)},
-            "provenance": [],
-        }
-        return payload, 1
-    if not isinstance(raw, list):
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "batch",
-            "input": {"path": path},
-            "status": "error",
-            "exit_code": 1,
-            "result": None,
-            "error": {"kind": "batch-unreadable", "message": "batch file must hold a JSON list"},
-            "provenance": [],
-        }
-        return payload, 1
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise BatchUnreadableError(str(exc)) from exc
+    if not isinstance(entries, list):
+        raise BatchUnreadableError("batch file must hold a JSON list")
+    return entries
 
-    def spec_of(entry) -> RunSpec:
-        if not isinstance(entry, dict):
-            raise InvalidInstanceError("each batch entry must be an object")
-        unknown = set(entry) - {"command", "target", "parameters"}
-        if unknown:
-            raise InvalidInstanceError(f"unknown batch entry keys: {sorted(unknown)}")
-        return RunSpec(
-            command=entry.get("command", ""),
-            target=entry.get("target"),
-            parameters=entry.get("parameters", {}),
-            output_format="json",
-        )
 
-    def run_entry(entry):
+def _spec_of_entry(entry) -> RunSpec:
+    """Check the shape of one batch entry; validate_spec checks the rest."""
+    if not isinstance(entry, dict):
+        raise InvalidInstanceError("each batch entry must be an object")
+    unknown = set(entry) - {"command", "target", "parameters"}
+    if unknown:
+        raise InvalidInstanceError(f"unknown batch entry keys: {sorted(unknown)}")
+    command = entry.get("command", "")
+    target = entry.get("target")
+    parameters = entry.get("parameters", {})
+    if not isinstance(command, str):
+        raise InvalidInstanceError(f"batch entry command must be a string, got {command!r}")
+    if target is not None and not isinstance(target, str):
+        raise InvalidInstanceError(f"batch entry target must be a string, got {target!r}")
+    if not isinstance(parameters, dict):
+        raise InvalidInstanceError(f"batch entry parameters must be an object, got {parameters!r}")
+    return RunSpec(command, target, parameters, output_format="json")
+
+
+def run_batch(path: str) -> Report:
+    """Run every spec in a JSON batch file; results in input order, exit = max code."""
+    input_echo = {"path": path}
+    try:
+        entries = _read_batch(path)
+    except BatchUnreadableError as exc:
+        return _error_report("batch", input_echo, exc)
+    reports = []
+    for entry in entries:
         try:
-            return run(spec_of(entry))
-        except WblowError as exc:
-            return Report(
-                command="batch-entry",
-                input={"entry": repr(entry)},
-                status="error",
-                exit_code=exit_code_for(exc),
-                error={"kind": exc.kind, "message": str(exc)},
-            )
+            reports.append(run(_spec_of_entry(entry)))
+        except InvalidInstanceError as exc:
+            reports.append(_error_report("batch-entry", {"entry": repr(entry)}, exc))
+    statuses = {r.status for r in reports}
+    status = next((s for s in ("error", "verification-failed") if s in statuses), "ok")
+    return Report(
+        command="batch",
+        input=input_echo,
+        status=status,
+        exit_code=max((r.exit_code for r in reports), default=0),
+        result={"results": [r.to_payload() for r in reports]},
+    )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_entry, raw))
-    else:
-        reports = [run_entry(entry) for entry in raw]
 
-    exit_code = max((r.exit_code for r in reports), default=0)
-    status = "ok"
-    if any(r.status == "error" for r in reports):
-        status = "error"
-    elif any(r.status == "verification-failed" for r in reports):
-        status = "verification-failed"
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "batch",
-        "input": {"path": path},
-        "status": status,
-        "exit_code": exit_code,
-        "result": {"results": [r.to_payload() for r in reports]},
-        "error": None,
-        "provenance": [],
-    }
-    return payload, exit_code
+def _batch_text(report: Report) -> str:
+    lines = [f"batch: {report.input['path']}", f"status: {report.status}"]
+    for i, rep in enumerate((report.result or {}).get("results", [])):
+        lines.append(f"[{i}] {rep['command']}: {rep['status']} (exit {rep['exit_code']})")
+    if report.error:
+        lines.append(f"error: {report.error['message']}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # argparse wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become invalid-instance reports (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidInstanceError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wblow",
         description="Exact computations for weighted blow-ups of quotient singularities.",
         epilog=(
@@ -707,125 +711,55 @@ def build_parser() -> argparse.ArgumentParser:
             " WBLOW_MAX_ENUM caps enumeration box sizes."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("charts", parents=[common], help="chart types and substitutions")
-    p.add_argument("target")
-    p.add_argument("--chart", type=int)
-
-    p = sub.add_parser("fan", parents=[common], help="subdivision fan and its checks")
-    p.add_argument("target")
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("ideal", parents=[common], help="minimal generators at a threshold")
-    p.add_argument("target")
-    p.add_argument("--k", required=True, help="threshold, as 'p/q' or an integer")
-
-    p = sub.add_parser("wt", parents=[common], help="weight of a polynomial")
-    p.add_argument("target")
-    p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("pushforward", parents=[common], help="divisor pullback decomposition")
-    p.add_argument("target")
-    p.add_argument("--f", required=True, help="semi-invariant equation")
-    p.add_argument("--a-max", dest="a_max", type=int)
-
-    p = sub.add_parser("transform", parents=[common], help="strict transform in one chart")
-    p.add_argument("target")
-    p.add_argument("--g", required=True)
-    p.add_argument("--chart", type=int, required=True)
-
-    p = sub.add_parser("lift-check", parents=[common], help="decomposition identity sweep")
-    p.add_argument("--sigma-prime", dest="sigma_prime", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--degree-bound", dest="degree_bound", type=int)
-    p.add_argument("--mutate", type=int)
-    p.add_argument("--threads", type=int)
-
-    p = sub.add_parser("chain", parents=[common], help="iterated lifting chain")
-    p.add_argument("target")
-    p.add_argument("--a-sequence", dest="a_sequence", required=True)
-    p.add_argument("--dmax", type=int)
-
-    p = sub.add_parser("invariants", parents=[common], help="invariant monomial basis")
-    p.add_argument("target")
-    p.add_argument("--degree-bound", dest="degree_bound", type=int)
-
-    p = sub.add_parser("example33", parents=[common], help="bundled worked surface example")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--exponent-n", dest="exponent_n", type=int)
-
-    p = sub.add_parser("truncation", parents=[common], help="power vs truncation ideals")
-    p.add_argument("target")
-    p.add_argument("--b", help="threshold step multiple, as 'p/q'")
-    p.add_argument("--d", type=int)
-    p.add_argument("--find-stable", dest="find_stable", action="store_true")
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--limit", type=int)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        if command.target:
+            p.add_argument("target", nargs="?")
+        for param in command.params:
+            flag = "--" + param.name.replace("_", "-")
+            help_ = f"{param.help or ''} (required)".lstrip() if param.required else param.help
+            if param.type is bool:
+                p.add_argument(flag, dest=param.name, action="store_true", default=None, help=help_)
+            else:
+                p.add_argument(flag, dest=param.name, type=param.type, help=help_)
     p = sub.add_parser("batch", parents=[common], help="run a JSON list of specs")
     p.add_argument("path")
-    p.add_argument("--threads", type=int)
-
     return parser
-
-
-_ARG_PARAMS = {
-    "charts": ("chart",),
-    "fan": ("grid",),
-    "ideal": ("k",),
-    "wt": ("poly",),
-    "pushforward": ("f", "a_max"),
-    "transform": ("g", "chart"),
-    "lift-check": ("sigma_prime", "m", "a", "dmax", "degree_bound", "mutate", "threads"),
-    "chain": ("a_sequence", "dmax"),
-    "invariants": ("degree_bound",),
-    "example33": ("r", "m", "a", "exponent_n"),
-    "truncation": ("b", "d", "find_stable", "dmax", "limit"),
-}
 
 
 def spec_from_args(args: argparse.Namespace) -> RunSpec:
     params = {}
-    for name in _ARG_PARAMS[args.command]:
-        value = getattr(args, name, None)
-        if value is None or (name == "find_stable" and value is False):
-            continue
-        params[name] = value
-    return RunSpec(
-        command=args.command,
-        target=getattr(args, "target", None),
-        parameters=params,
-        output_format=args.format,
+    for param in COMMANDS[args.command].params:
+        value = getattr(args, param.name)
+        if value is not None:
+            params[param.name] = value
+    return RunSpec(args.command, getattr(args, "target", None), params, args.format)
+
+
+def _wants_json(argv: list) -> bool:
+    return "--format=json" in argv or any(
+        a == "--format" and b == "json" for a, b in zip(argv, argv[1:])
     )
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "batch":
-        payload, code = run_batch(args.path, threads=args.threads or 1)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        stream = sys.stdout if code == 0 or payload["status"] != "error" else sys.stderr
-        if args.format == "text":
-            lines = [f"batch: {args.path}", f"status: {payload['status']}"]
-            results = (payload.get("result") or {}).get("results", [])
-            for i, rep in enumerate(results):
-                lines.append(f"[{i}] {rep['command']}: {rep['status']} (exit {rep['exit_code']})")
-            if payload.get("error"):
-                lines.append(f"error: {payload['error']['message']}")
-            print("\n".join(lines), file=stream)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InvalidInstanceError as exc:
+        named = argv[0] if argv and argv[0] in (*COMMANDS, "batch") else "wblow"
+        report = _error_report(named, {"argv": argv}, exc)
+        rendered = report.to_json() if _wants_json(argv) else report.to_text()
+    else:
+        if args.command == "batch":
+            report = run_batch(args.path)
+            rendered = report.to_json() if args.format == "json" else _batch_text(report)
         else:
-            print(text, file=stream)
-        return code
-
-    report = run(spec_from_args(args))
-    rendered = report.to_json() if args.format == "json" else report.to_text()
+            report = run(spec_from_args(args))
+            rendered = report.to_json() if args.format == "json" else report.to_text()
     print(rendered, file=sys.stderr if report.status == "error" else sys.stdout)
     return report.exit_code
 

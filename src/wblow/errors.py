@@ -51,6 +51,12 @@ class EnumerationLimitError(WblowError):
     kind = "enumeration-limit"
 
 
+class BatchUnreadableError(WblowError):
+    """A batch file could not be read, is not JSON, or does not hold a list."""
+
+    kind = "batch-unreadable"
+
+
 class NotationError(WblowError):
     """Parse failure; ``position`` is 1-based offset into the input text."""
 

@@ -242,18 +242,13 @@ def verify_decomposition(
 
 
 def verify_decomposition_range(
-    inst: LiftInstance, d_max: int, degree_bound: int | None = None, map_fn=map
+    inst: LiftInstance, d_max: int, degree_bound: int | None = None
 ) -> CheckReport:
-    """Run the decomposition check for every d in 1..d_max; merged ascending.
-
-    Degree slices are independent; ``map_fn`` may be an order-preserving
-    parallel map (results are merged in ascending d, so the report does not
-    depend on how the slices were scheduled).
-    """
+    """Run the decomposition check for every d in 1..d_max; merged ascending."""
     if d_max < 1:
         raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
     d_range = tuple(range(1, d_max + 1))
-    reports = list(map_fn(lambda d: verify_decomposition(inst, d, degree_bound), d_range))
+    reports = [verify_decomposition(inst, d, degree_bound) for d in d_range]
     first_violation = None
     for report in reports:
         if not report.passed and first_violation is None:

@@ -47,11 +47,6 @@ class TestLiftCheckCommand:
         assert report.exit_code == 2
         assert report.result["check"]["counterexample"] is not None
 
-    def test_threads_do_not_change_output(self):
-        r1 = run(make_spec("lift-check", sigma_prime="2,3", m=2, a=1, dmax=6, threads=1))
-        r4 = run(make_spec("lift-check", sigma_prime="2,3", m=2, a=1, dmax=6, threads=4))
-        assert r1.to_json() == r4.to_json()
-
 
 class TestExample33Command:
     def test_reference_case(self):
@@ -158,9 +153,9 @@ class TestBatch:
                 {"command": "lift-check", "parameters": {"sigma_prime": "1,1", "m": 1, "a": 1, "dmax": 4}},
             ],
         )
-        payload, code = run_batch(path)
-        assert code == 0
-        assert [r["status"] for r in payload["result"]["results"]] == ["ok", "ok"]
+        report = run_batch(path)
+        assert report.exit_code == 0
+        assert [r["status"] for r in report.result["results"]] == ["ok", "ok"]
 
     def test_max_rule(self, tmp_path):
         path = self._write(
@@ -170,32 +165,60 @@ class TestBatch:
                 {"command": "lift-check", "parameters": {"sigma_prime": "1,2", "m": 1, "a": 1, "mutate": 1}},
             ],
         )
-        payload, code = run_batch(path)
-        assert code == 2
-        statuses = [r["status"] for r in payload["result"]["results"]]
+        report = run_batch(path)
+        assert report.exit_code == 2
+        statuses = [r["status"] for r in report.result["results"]]
         assert statuses == ["ok", "verification-failed"]
 
     def test_empty_list(self, tmp_path):
-        payload, code = run_batch(self._write(tmp_path, []))
-        assert code == 0 and payload["result"]["results"] == []
+        report = run_batch(self._write(tmp_path, []))
+        assert report.exit_code == 0 and report.result["results"] == []
 
     def test_unreadable(self, tmp_path):
         bad = tmp_path / "nope.json"
         bad.write_text("{not json", encoding="utf-8")
-        payload, code = run_batch(str(bad))
-        assert code == 1 and payload["status"] == "error"
+        report = run_batch(str(bad))
+        assert report.exit_code == 1 and report.status == "error"
+        assert report.error["kind"] == "batch-unreadable"
 
-    def test_results_in_input_order_with_threads(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe[", b'{"command": "fan"}'], ids=["not-utf8", "not-a-list"]
+    )
+    def test_unreadable_content(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        report = run_batch(str(bad))
+        assert report.exit_code == 1 and report.error["kind"] == "batch-unreadable"
+        jsonschema.validate(report.to_payload(), REPORT_SCHEMA)
+
+    def test_results_in_input_order(self, tmp_path):
         entries = [
             {"command": "ideal", "target": f"1/1(1,{k})", "parameters": {"k": "3"}}
-            for k in (2, 3, 4, 5)
+            for k in (5, 2, 4, 3)
         ]
-        path = self._write(tmp_path, entries)
-        p1, _ = run_batch(path, threads=1)
-        p4, _ = run_batch(path, threads=4)
-        assert p1 == p4
-        targets = [r["input"]["target"] for r in p1["result"]["results"]]
-        assert targets == [f"1/1(1,{k})" for k in (2, 3, 4, 5)]
+        report = run_batch(self._write(tmp_path, entries))
+        targets = [r["input"]["target"] for r in report.result["results"]]
+        assert targets == [f"1/1(1,{k})" for k in (5, 2, 4, 3)]
+
+    def _only_bad_entry_fails(self, tmp_path, bad_entry):
+        good = {"command": "ideal", "target": "1/1(2,3)", "parameters": {"k": "6"}}
+        report = run_batch(self._write(tmp_path, [good, bad_entry, good]))
+        assert report.exit_code == 1 and report.status == "error"
+        results = report.result["results"]
+        assert [r["status"] for r in results] == ["ok", "error", "ok"]
+        assert results[1]["error"]["kind"] == "invalid-instance"
+        jsonschema.validate(report.to_payload(), REPORT_SCHEMA)
+
+    def test_non_string_target_is_one_entry_error(self, tmp_path):
+        self._only_bad_entry_fails(tmp_path, {"command": "charts", "target": 5})
+
+    def test_non_object_parameters_is_one_entry_error(self, tmp_path):
+        self._only_bad_entry_fails(
+            tmp_path, {"command": "charts", "target": "1/1(1,2)", "parameters": [1]}
+        )
+
+    def test_non_string_command_is_one_entry_error(self, tmp_path):
+        self._only_bad_entry_fails(tmp_path, {"command": ["charts"], "target": "1/1(1,2)"})
 
 
 class TestExternalInterfaces:
@@ -217,9 +240,9 @@ class TestExternalInterfaces:
     def test_batch_entry_with_unknown_keys(self, tmp_path):
         path = tmp_path / "b.json"
         path.write_text(json.dumps([{"command": "fan", "target": "1/1(1,1)", "oops": 1}]))
-        payload, code = run_batch(str(path))
-        assert code == 1
-        assert payload["result"]["results"][0]["status"] == "error"
+        report = run_batch(str(path))
+        assert report.exit_code == 1
+        assert report.result["results"][0]["status"] == "error"
 
     def test_truncation_requires_a_mode(self):
         report = run(make_spec("truncation", "1/1(1,2)"))
@@ -278,6 +301,42 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["check"]["status"] == "pass"
+
+    def test_missing_required_flag_exits_1_with_report(self, capsys):
+        assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"]["kind"] == "invalid-instance"
+        assert "'k'" in payload["error"]["message"]
+
+    def test_unconvertible_flag_exits_1_with_json_report(self, capsys):
+        argv = ["lift-check", "--sigma-prime", "1,2", "--m", "x", "--a", "1", "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["command"] == "lift-check"
+        assert payload["error"]["kind"] == "invalid-instance"
+        assert "--m" in payload["error"]["message"]
+
+    def test_usage_error_in_text_format(self, capsys):
+        assert main(["lift-check", "--sigma-prime", "1,2", "--m", "x", "--a", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "status: error" in err and "error[invalid-instance]" in err
+
+    def test_unknown_flag_and_unknown_command_exit_1(self, capsys):
+        assert main(["charts", "1/1(1,2)", "--bogus", "3", "--format=json"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid-instance"
+        assert main(["frobnicate"]) == 1
+        assert "error[invalid-instance]" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lift-check", "-h"])
+        assert exc.value.code == 0
+        assert "--sigma-prime" in capsys.readouterr().out
 
     def test_text_format_mentions_status(self, capsys):
         assert main(["wt", "1/2(1,1)", "--poly", "x1"]) == 0

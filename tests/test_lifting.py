@@ -274,13 +274,13 @@ class TestChainReport:
         real = lifting_mod.verify_decomposition_range
         calls = {"n": 0}
 
-        def failing(inst, d_max, degree_bound=None, map_fn=map):
+        def failing(inst, d_max, degree_bound=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 from wblow.lifting import Violation
 
                 return CheckReport(inst, (1,), "fail", Violation(1, (0,) * inst.n, "injected"))
-            return real(inst, d_max, degree_bound, map_fn)
+            return real(inst, d_max, degree_bound)
 
         monkeypatch.setattr(lifting_mod, "verify_decomposition_range", failing)
         report = lifting_mod.chain_report(start, (1, 1, 1), d_max=2)
