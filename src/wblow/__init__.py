@@ -30,7 +30,6 @@ from .lifting import (
     mutation_study,
     verify_decomposition,
     verify_decomposition_range,
-    verify_generator_lift,
 )
 from .notation import parse_polynomial, parse_rational, parse_singularity, parse_weight_system
 from .quotient import (
@@ -107,5 +106,4 @@ __all__ = [
     "strict_transform_in_chart",
     "verify_decomposition",
     "verify_decomposition_range",
-    "verify_generator_lift",
 ]

@@ -8,26 +8,38 @@ coordinates map back by x_j -> xbar_j * xbar_i^(a_j/m).  The exceptional
 divisor is cut out by xbar_i in chart i, so the xbar_i-exponent after
 substitution is the vanishing order along it.
 
-Chart substitutions carry fractional exponents as exact rationals and are
-treated as formal symbols; all consequences used here (valuations, strict
-transforms) only need exponent arithmetic.
+Every chart exponent is an integer over the group order m, so the chart
+layer stores and substitutes integer numerators over m and builds a
+``Fraction`` only where a result leaves it (valuations, strict-transform
+exponents, ``Chart.substitution``).  Fractional powers are treated as
+formal symbols; all consequences used here (valuations, strict transforms)
+only need exponent arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .errors import (
     DimensionError,
     InternalConsistencyError,
+    InvalidInstanceError,
     OutOfDomainError,
     UndefinedWeightError,
 )
 from .quotient import CyclicQuotientType, Polynomial, semi_invariant_class
-from .wideal import WeightedIdeal, WeightSystem, ideal_generators, polynomial_weight
+from .wideal import (
+    WeightedIdeal,
+    WeightSystem,
+    ideal_generators,
+    polynomial_weight,
+    weight_numerator,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +133,11 @@ def fan_is_subdivision(fan: Fan, grid: int = SUBDIVISION_GRID) -> bool:
     (a) each cone's generators are linearly independent over the rationals;
     (b) every sampled orthant point lies in some cone; (c) no sampled point
     is interior to two cones.  Sampling uses the fixed integer grid above,
-    so the check is deterministic.
+    so the check is deterministic.  A grid below 1 samples no point, so it
+    is refused rather than reported as a check that passed.
     """
+    if grid < 1:
+        raise InvalidInstanceError(f"the sample grid must be at least 1, got {grid}")
     gens_by_cone = []
     for cone in fan.cones:
         gens = [fan.rays[k] for k in cone]
@@ -171,58 +186,65 @@ def cone_index(fan: Fan, i: int) -> int:
 class Chart:
     """One affine piece of the blow-up.
 
-    ``substitution`` is the n x n matrix of exact rational exponents: row j
-    gives the barred-variable exponents of the image of x_j, so row j is the
-    unit row at j plus a_j/m in column i, and row i is a_i/m at position i.
+    ``numerators`` is the n x n integer matrix of exponent numerators over
+    ``m``: row j gives m times the barred-variable exponents of the image of
+    x_j, so row j is m at position j with a_j in column i, and row i is a_i
+    at position i.  ``substitution`` is the same matrix as rows of
+    ``Fraction`` (a_j/m and so on), built on demand for reports.
     ``quotient_type`` is the chart's cyclic quotient: order a_i with weights
     (-a_1,...,m,...,-a_n) reduced mod a_i (trivial when a_i = 1).
     """
 
     index: int
     quotient_type: CyclicQuotientType
-    substitution: tuple
+    m: int
+    numerators: tuple
+
+    @property
+    def substitution(self) -> tuple:
+        """The chart map's exponent matrix as exact rationals."""
+        return tuple(tuple(Fraction(v, self.m) for v in row) for row in self.numerators)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def chart(system: WeightSystem, i: int) -> Chart:
-    """The i-th chart (1-based) of the blow-up for the given weight system."""
+    """The i-th chart (1-based) of the blow-up for the given weight system.
+
+    Memoised: both arguments are hashable and the ``Chart`` is frozen, so
+    repeated calls for one system share one record.  The cache is kept
+    small because callers sweep the charts of one system at a time.
+    """
     n = system.n
     if not 1 <= i <= n:
         raise DimensionError(f"chart index {i} out of range 1..{n}")
-    a = system.weights
-    order = a[i - 1]
-    chart_weights = tuple(
-        system.m if j == i - 1 else -a[j] for j in range(n)
-    )
-    qtype = CyclicQuotientType(order, chart_weights)
+    a, m = system.weights, system.m
+    i0 = i - 1
+    qtype = CyclicQuotientType(a[i0], tuple(m if j == i0 else -a[j] for j in range(n)))
     rows = []
     for j in range(n):
-        row = [Fraction(0)] * n
-        if j != i - 1:
-            row[j] = Fraction(1)
-        row[i - 1] += Fraction(a[j], system.m)
+        row = [0] * n
+        if j != i0:
+            row[j] = m
+        row[i0] = a[j]
         rows.append(tuple(row))
-    return Chart(i, qtype, tuple(rows))
+    return Chart(i, qtype, m, tuple(rows))
 
 
-def _substitute_exponents(s, ch: Chart) -> tuple:
-    """Barred exponent vector of the image of the monomial x^s under the chart map."""
-    n = len(ch.substitution)
-    if len(s) != n:
-        raise DimensionError(f"exponent length {len(s)} does not match chart dimension {n}")
-    out = []
-    for k in range(n):
-        total = Fraction(0)
-        for j, sj in enumerate(s):
-            if sj:
-                total += sj * ch.substitution[j][k]
-        out.append(total if total.denominator != 1 else int(total))
-    return tuple(out)
+def _check_nvars(f: Polynomial, ch: Chart) -> None:
+    n = len(ch.numerators)
+    if f.nvars != n:
+        raise DimensionError(f"exponent length {f.nvars} does not match chart dimension {n}")
+
+
+def _exponents(numerators, m: int) -> tuple:
+    """Report form of exponent numerators over m: an int when m divides it, else a Fraction."""
+    return tuple(v // m if v % m == 0 else Fraction(v, m) for v in numerators)
 
 
 def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int) -> Fraction:
     """Vanishing order of f along the exceptional divisor, read off in one chart.
 
-    Substitutes the chart map symbolically and takes the minimal exponent of
+    Substitutes the chart map and takes the minimal exponent numerator of
     the chart's barred coordinate (the local equation of the divisor) over
     the support.  The result must equal the weight valuation computed
     directly; the two routes are compared and a mismatch raises, since they
@@ -231,15 +253,16 @@ def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int)
     if f.is_zero:
         raise UndefinedWeightError("the zero polynomial has no vanishing order")
     ch = chart(system, chart_index)
-    i0 = chart_index - 1
-    order = min(Fraction(_substitute_exponents(s, ch)[i0]) for s in f.support())
-    direct = polynomial_weight(f, system)
+    _check_nvars(f, ch)
+    column = [row[chart_index - 1] for row in ch.numerators]
+    order = min(sum(map(mul, s, column)) for s in f.support())
+    direct = weight_numerator(f, system)
     if order != direct:
         raise InternalConsistencyError(
-            f"chart {chart_index} reads vanishing order {order} but the weight"
-            f" valuation is {direct}"
+            f"chart {chart_index} reads vanishing order {Fraction(order, ch.m)} but the weight"
+            f" valuation is {Fraction(direct, ch.m)}"
         )
-    return order
+    return Fraction(order, ch.m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,62 +345,33 @@ def strict_transform_in_chart(
     Each monomial acquires chart-coordinate exponent equal to its weight;
     dividing by the minimal one leaves the residual equation of the strict
     transform, whose restriction to the divisor is read off by keeping the
-    exponent-zero terms.
+    exponent-zero terms.  The work is done on numerators over m, whose
+    lexicographic order is that of the exponents since m > 0.
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
     ch = chart(system, chart_index)
+    _check_nvars(g, ch)
     i0 = chart_index - 1
+    m = ch.m
+    columns = tuple(zip(*ch.numerators))
     substituted = {}
     for s, c in g.items():
-        e = _substitute_exponents(s, ch)
+        e = tuple(sum(map(mul, s, col)) for col in columns)
         if e in substituted:
-            raise InternalConsistencyError(f"chart map collided two monomials at {e}")
+            raise InternalConsistencyError(
+                f"chart map collided two monomials at {_exponents(e, m)}"
+            )
         substituted[e] = c
-    w_min = min(Fraction(e[i0]) for e in substituted)
-    residual = {}
-    for e, c in substituted.items():
-        shifted = Fraction(e[i0]) - w_min
-        key = e[:i0] + (shifted if shifted.denominator != 1 else int(shifted),) + e[i0 + 1 :]
-        residual[key] = c
-    terms = tuple(sorted(residual.items(), key=lambda item: tuple(map(Fraction, item[0]))))
-    report = TransformedEquation(chart_index, w_min, terms)
-    if min(Fraction(e[i0]) for e, _ in terms) != 0:
+    w_min = min(e[i0] for e in substituted)
+    residual = sorted(
+        ((e[:i0] + (e[i0] - w_min,) + e[i0 + 1 :], c) for e, c in substituted.items()),
+        key=itemgetter(0),
+    )
+    if min(e[i0] for e, _ in residual) != 0:
         raise InternalConsistencyError("residual does not reach chart-coordinate exponent 0")
-    return report
-
-
-def invert_transform(
-    teq: TransformedEquation, system: WeightSystem
-) -> Polynomial:
-    """Undo a strict transform: multiply the factored power back and invert the chart map.
-
-    Used as a round-trip check; raises when the data does not come from an
-    actual substitution (non-integral or negative recovered exponents).
-    """
-    i0 = teq.chart_index - 1
-    a = system.weights
-    terms = {}
-    for e, c in teq.terms:
-        total_i = Fraction(e[i0]) + teq.factored_exponent
-        others = [Fraction(e[k]) for k in range(len(e)) if k != i0]
-        if any(v.denominator != 1 or v < 0 for v in others):
-            raise InternalConsistencyError("barred exponents off the chart coordinate must be integers")
-        s = [0] * len(e)
-        pos = 0
-        acc = Fraction(0)
-        for k in range(len(e)):
-            if k == i0:
-                continue
-            s[k] = int(others[pos])
-            acc += s[k] * Fraction(a[k], system.m)
-            pos += 1
-        si = (total_i - acc) * Fraction(system.m, a[i0])
-        if si.denominator != 1 or si < 0:
-            raise InternalConsistencyError(f"recovered exponent {si} is not a non-negative integer")
-        s[i0] = int(si)
-        terms[tuple(s)] = c
-    return Polynomial(len(system.weights), terms)
+    terms = tuple((_exponents(e, m), c) for e, c in residual)
+    return TransformedEquation(chart_index, Fraction(w_min, m), terms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .arith import ceil_div, check_enum_budget, normalize_weights
 from .errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError
 from .quotient import CyclicQuotientType, HyperquotientType, lift_type
-from .wideal import _minimalize, minimal_generators_numerator
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,34 +255,6 @@ def verify_decomposition_range(
     if first_violation is not None:
         return CheckReport(inst, d_range, "fail", first_violation)
     return CheckReport(inst, d_range, "pass", None)
-
-
-def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
-    """Ideal-level restatement of the decomposition at degree d.
-
-    The minimal generators of N(d*b) must equal the minimalization of
-    (last variable) * gens N((d - a)*b) together with the section ideal's
-    generators embedded with last exponent zero.
-    """
-    if d < 1:
-        raise InvalidInstanceError(f"d must be >= 1, got {d}")
-    db = d * inst.step
-    lower = (d - inst.multiplier) * inst.step
-    top = minimal_generators_numerator(inst.weights, db)
-    lower_gens = minimal_generators_numerator(inst.weights, lower)
-    shifted = [g[:-1] + (g[-1] + 1,) for g in lower_gens]
-    embedded = [g + (0,) for g in minimal_generators_numerator(inst.base_weights, db)]
-    candidate = _minimalize(shifted + embedded)
-
-    if set(top) == set(candidate):
-        return CheckReport(inst, (d,), "pass", None)
-    diff = sorted(set(top) ^ set(candidate))
-    witness = diff[0]
-    side = "the level ideal" if witness in set(top) else "the rebuilt decomposition"
-    explanation = (
-        f"at degree {d}: generator sets differ; {witness} appears only in {side}"
-    )
-    return CheckReport(inst, (d,), "fail", Violation(d, witness, explanation))
 
 
 @dataclass(frozen=True, slots=True)

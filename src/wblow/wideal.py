@@ -5,7 +5,8 @@ weight of a monomial is the dot product, and the weight of a polynomial is
 the minimum over its support.  The threshold ideal at level k collects every
 monomial of weight >= k.  Thresholds are kept as exact rationals throughout,
 with a numerator-form spelling (compare sum(s_i a_i) against k*m) available
-so callers working at the integer level never round.
+so callers working at the integer level never round; polynomial weights are
+minimised as integer numerators and divided by m once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import ceil_div, check_enum_budget, divides, lcm_of, normalize_weights, vec_add
 from .errors import (
@@ -82,11 +84,18 @@ def monomial_weight(s, system: WeightSystem) -> Fraction:
     return Fraction(sum(si * ai for si, ai in zip(s, system.weights)), system.m)
 
 
-def polynomial_weight(f: Polynomial, system: WeightSystem) -> Fraction:
-    """Minimum monomial weight over the support; undefined for the zero polynomial."""
+def weight_numerator(f: Polynomial, system: WeightSystem) -> int:
+    """m times the weight of f: the least sum(s_i * a_i) over the support."""
     if f.is_zero:
         raise UndefinedWeightError("the zero polynomial has no weight")
-    return min(monomial_weight(s, system) for s in f.support())
+    if f.nvars != system.n:
+        raise DimensionError(f"exponent length {f.nvars} does not match {system.n} weights")
+    return min(sum(map(mul, s, system.weights)) for s in f.support())
+
+
+def polynomial_weight(f: Polynomial, system: WeightSystem) -> Fraction:
+    """Minimum monomial weight over the support; undefined for the zero polynomial."""
+    return Fraction(weight_numerator(f, system), system.m)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,10 @@
 
 The oracles here deliberately use different algorithms from the library
 (full-box enumeration with pairwise divisibility minimalization, direct
-definition checks) so that agreement is meaningful.
+definition checks) so that agreement is meaningful.  The chart oracles are
+the library's former ``Fraction`` chart route, kept as the reference for the
+integer-numerator one; ``invert_transform`` and ``verify_generator_lift``
+are cross-checks that only tests use.
 """
 
 from __future__ import annotations
@@ -12,8 +15,16 @@ import math
 import random
 from fractions import Fraction
 
+from wblow.blowup import TransformedEquation
+from wblow.errors import (
+    DimensionError,
+    InternalConsistencyError,
+    InvalidInstanceError,
+    UndefinedWeightError,
+)
+from wblow.lifting import CheckReport, LiftInstance, Violation
 from wblow.quotient import Polynomial
-from wblow.wideal import WeightSystem
+from wblow.wideal import WeightSystem, _minimalize, minimal_generators_numerator
 
 
 def ceil_div(p, q):
@@ -100,3 +111,147 @@ def random_semi_invariant(rng: random.Random, system: WeightSystem, max_terms=4,
         s = tuple(rng.randint(0, max_deg) for _ in range(n))
         terms = {s: 1}
     return Polynomial(n, {k: Fraction(v) for k, v in terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# The Fraction chart route
+
+
+def fraction_chart_rows(system: WeightSystem, i: int) -> tuple:
+    """Oracle: chart i's substitution matrix as rows of exact rationals."""
+    n = system.n
+    if not 1 <= i <= n:
+        raise DimensionError(f"chart index {i} out of range 1..{n}")
+    a = system.weights
+    rows = []
+    for j in range(n):
+        row = [Fraction(0)] * n
+        if j != i - 1:
+            row[j] = Fraction(1)
+        row[i - 1] += Fraction(a[j], system.m)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def fraction_substitute_exponents(s, rows) -> tuple:
+    """Oracle: barred exponent vector of the image of x^s under the chart map."""
+    n = len(rows)
+    if len(s) != n:
+        raise DimensionError(f"exponent length {len(s)} does not match chart dimension {n}")
+    out = []
+    for k in range(n):
+        total = Fraction(0)
+        for j, sj in enumerate(s):
+            if sj:
+                total += sj * rows[j][k]
+        out.append(total if total.denominator != 1 else int(total))
+    return tuple(out)
+
+
+def fraction_exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int) -> Fraction:
+    """Oracle: minimal chart-coordinate exponent, checked against the weight summed in rationals."""
+    if f.is_zero:
+        raise UndefinedWeightError("the zero polynomial has no vanishing order")
+    rows = fraction_chart_rows(system, chart_index)
+    i0 = chart_index - 1
+    order = min(Fraction(fraction_substitute_exponents(s, rows)[i0]) for s in f.support())
+    direct = min(
+        sum((si * Fraction(ai, system.m) for si, ai in zip(s, system.weights)), Fraction(0))
+        for s in f.support()
+    )
+    if order != direct:
+        raise InternalConsistencyError(
+            f"chart {chart_index} reads vanishing order {order} but the weight"
+            f" valuation is {direct}"
+        )
+    return order
+
+
+def fraction_strict_transform(
+    g: Polynomial, system: WeightSystem, chart_index: int
+) -> TransformedEquation:
+    """Oracle: substitute in rationals, divide out the least chart-coordinate power, sort."""
+    if g.is_zero:
+        raise UndefinedWeightError("the zero polynomial has no strict transform")
+    rows = fraction_chart_rows(system, chart_index)
+    i0 = chart_index - 1
+    substituted = {}
+    for s, c in g.items():
+        e = fraction_substitute_exponents(s, rows)
+        if e in substituted:
+            raise InternalConsistencyError(f"chart map collided two monomials at {e}")
+        substituted[e] = c
+    w_min = min(Fraction(e[i0]) for e in substituted)
+    residual = {}
+    for e, c in substituted.items():
+        shifted = Fraction(e[i0]) - w_min
+        key = e[:i0] + (shifted if shifted.denominator != 1 else int(shifted),) + e[i0 + 1 :]
+        residual[key] = c
+    terms = tuple(sorted(residual.items(), key=lambda item: tuple(map(Fraction, item[0]))))
+    report = TransformedEquation(chart_index, w_min, terms)
+    if min(Fraction(e[i0]) for e, _ in terms) != 0:
+        raise InternalConsistencyError("residual does not reach chart-coordinate exponent 0")
+    return report
+
+
+def invert_transform(teq: TransformedEquation, system: WeightSystem) -> Polynomial:
+    """Undo a strict transform: multiply the factored power back and invert the chart map.
+
+    Used as a round-trip check; raises when the data does not come from an
+    actual substitution (non-integral or negative recovered exponents).
+    """
+    i0 = teq.chart_index - 1
+    a = system.weights
+    terms = {}
+    for e, c in teq.terms:
+        total_i = Fraction(e[i0]) + teq.factored_exponent
+        others = [Fraction(e[k]) for k in range(len(e)) if k != i0]
+        if any(v.denominator != 1 or v < 0 for v in others):
+            raise InternalConsistencyError("barred exponents off the chart coordinate must be integers")
+        s = [0] * len(e)
+        pos = 0
+        acc = Fraction(0)
+        for k in range(len(e)):
+            if k == i0:
+                continue
+            s[k] = int(others[pos])
+            acc += s[k] * Fraction(a[k], system.m)
+            pos += 1
+        si = (total_i - acc) * Fraction(system.m, a[i0])
+        if si.denominator != 1 or si < 0:
+            raise InternalConsistencyError(f"recovered exponent {si} is not a non-negative integer")
+        s[i0] = int(si)
+        terms[tuple(s)] = c
+    return Polynomial(len(system.weights), terms)
+
+
+# ---------------------------------------------------------------------------
+# The ideal-level view of the lifting decomposition
+
+
+def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
+    """Ideal-level restatement of the decomposition at degree d.
+
+    The minimal generators of N(d*b) must equal the minimalization of
+    (last variable) * gens N((d - a)*b) together with the section ideal's
+    generators embedded with last exponent zero.
+    """
+    if d < 1:
+        raise InvalidInstanceError(f"d must be >= 1, got {d}")
+    db = d * inst.step
+    lower = (d - inst.multiplier) * inst.step
+    top = minimal_generators_numerator(inst.weights, db)
+    lower_gens = minimal_generators_numerator(inst.weights, lower)
+    shifted = [g[:-1] + (g[-1] + 1,) for g in lower_gens]
+    embedded = [g + (0,) for g in minimal_generators_numerator(inst.base_weights, db)]
+    candidate = _minimalize(shifted + embedded)
+
+    if set(top) == set(candidate):
+        return CheckReport(inst, (d,), "pass", None)
+    diff = sorted(set(top) ^ set(candidate))
+    witness = diff[0]
+    side = "the level ideal" if witness in set(top) else "the rebuilt decomposition"
+    explanation = (
+        f"at degree {d}: generator sets differ; {witness} appears only in {side}"
+    )
+    return CheckReport(inst, (d,), "fail", Violation(d, witness, explanation))

@@ -1,11 +1,21 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import ceil_div, random_semi_invariant, random_weight_system
+from helpers import (
+    ceil_div,
+    fraction_chart_rows,
+    fraction_exceptional_valuation,
+    fraction_strict_transform,
+    invert_transform,
+    random_semi_invariant,
+    random_weight_system,
+)
 from wblow.blowup import (
     Fan,
     build_fan,
@@ -14,12 +24,12 @@ from wblow.blowup import (
     exceptional_info,
     exceptional_valuation,
     fan_is_subdivision,
-    invert_transform,
     pushforward_decomposition,
     strict_transform_in_chart,
 )
 from wblow.errors import (
     DimensionError,
+    InvalidInstanceError,
     NotSemiInvariantError,
     OutOfDomainError,
     UndefinedWeightError,
@@ -67,6 +77,11 @@ class TestSubdivisionCheck:
         corrupted = Fan(fan.n, fan.m, bad_rays, fan.cones)
         assert not fan_is_subdivision(corrupted)
 
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_without_sample_points_refused(self, grid):
+        with pytest.raises(InvalidInstanceError):
+            fan_is_subdivision(build_fan(WeightSystem((1, 2), 1)), grid)
+
 
 class TestConeIndex:
     def test_matches_chart_order(self):
@@ -97,10 +112,96 @@ class TestChart:
         assert ch.quotient_type == CyclicQuotientType(2, (1, 1))
         assert ch.substitution[0][0] == Fraction(2, 5)
         assert ch.substitution[1][0] == Fraction(3, 5)
+        assert (ch.m, ch.numerators) == (5, ((2, 0), (3, 5)))
 
     def test_index_range(self):
         with pytest.raises(DimensionError):
             chart(WeightSystem((1, 1), 1), 3)
+
+
+class TestChartCache:
+    def test_repeated_call_returns_the_same_record(self):
+        system = WeightSystem((2, 3, 5), 4)
+        assert chart(system, 2) is chart(system, 2)
+        assert chart(WeightSystem((2, 3, 5), 4), 2) is chart(system, 2)
+
+    def test_group_order_is_part_of_the_key(self):
+        one = chart(WeightSystem((2, 3), 1), 1)
+        five = chart(WeightSystem((2, 3), 5), 1)
+        assert one != five
+        assert one.substitution[1][0] == 3
+        assert five.substitution[1][0] == Fraction(3, 5)
+
+    def test_bad_index_raises_on_every_call(self):
+        system = WeightSystem((1, 1), 1)
+        for _ in range(3):
+            with pytest.raises(DimensionError):
+                chart(system, 3)
+
+    def test_cached_chart_is_frozen(self):
+        system = WeightSystem((2, 3), 5)
+        ch = chart(system, 1)
+        assert chart(system, 1) is ch
+        for name, value in (("index", 2), ("m", 1), ("numerators", ((0, 0), (0, 0)))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ch, name, value)
+        assert ch.numerators == ((2, 0), (3, 5))
+
+
+@st.composite
+def chart_cases(draw):
+    """A weight system (n 1..4, weights 1..12 with gcd 1, m 1..6), a chart and a support of 1..11 terms."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    g = math.gcd(*raw)
+    system = WeightSystem(tuple(w // g for w in raw), draw(st.integers(1, 6)))
+    support = draw(
+        st.lists(st.tuples(*[st.integers(0, 12)] * n), min_size=1, max_size=11, unique=True)
+    )
+    coeffs = draw(
+        st.lists(st.integers(-9, 9).filter(bool), min_size=len(support), max_size=len(support))
+    )
+    return system, draw(st.integers(1, n)), Polynomial(n, dict(zip(support, coeffs)))
+
+
+def _typed(exponents):
+    return tuple((type(v), v) for v in exponents)
+
+
+class TestAgainstFractionRoute:
+    """The integer-numerator chart layer against the Fraction route it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chart_cases())
+    @example((WeightSystem((1, 4, 6), 2), 1, poly(3, {(1, 2, 0): 3, (0, 1, 1): -1, (5, 0, 0): 2})))
+    @example((WeightSystem((3, 6, 2), 3), 2, poly(3, {(1, 0, 4): 1, (2, 1, 0): 7})))
+    @example((WeightSystem((1,), 6), 1, poly(1, {(7,): 1, (12,): -2})))
+    @example((WeightSystem((5, 7, 11, 12), 6), 4, poly(4, {(1, 1, 1, 1): 1, (0, 3, 0, 2): 4})))
+    def test_matches_fraction_route(self, case):
+        system, i, f = case
+        assert chart(system, i).substitution == fraction_chart_rows(system, i)
+        assert all(
+            type(v) is Fraction for row in chart(system, i).substitution for v in row
+        )
+
+        v = exceptional_valuation(f, system, i)
+        assert type(v) is Fraction
+        assert v == fraction_exceptional_valuation(f, system, i)
+
+        fast = strict_transform_in_chart(f, system, i)
+        slow = fraction_strict_transform(f, system, i)
+        assert fast.chart_index == slow.chart_index
+        assert _typed([fast.factored_exponent]) == _typed([slow.factored_exponent])
+        assert [(_typed(e), c) for e, c in fast.terms] == [(_typed(e), c) for e, c in slow.terms]
+
+    def test_dimension_mismatch_rejected_like_the_fraction_route(self):
+        system = WeightSystem((1, 2), 3)
+        f = poly(3, {(1, 0, 2): 1})
+        for fn in (exceptional_valuation, strict_transform_in_chart):
+            with pytest.raises(DimensionError):
+                fn(f, system, 1)
+        with pytest.raises(DimensionError):
+            fraction_exceptional_valuation(f, system, 1)
 
 
 class TestExceptionalValuation:

@@ -302,6 +302,15 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["check"]["status"] == "pass"
 
+    def test_fan_grid_without_sample_points_exits_1(self, capsys):
+        assert main(["fan", "1/1(1,2)", "--grid", "-1", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"]["kind"] == "invalid-instance"
+        assert "grid" in payload["error"]["message"]
+
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import verify_generator_lift
 from wblow.errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError
 from wblow.lifting import (
     CheckReport,
@@ -13,7 +14,6 @@ from wblow.lifting import (
     mutation_study,
     verify_decomposition,
     verify_decomposition_range,
-    verify_generator_lift,
 )
 from wblow.quotient import CyclicQuotientType, HyperquotientType, Polynomial, section_type
 from wblow.wideal import minimal_generators_numerator
