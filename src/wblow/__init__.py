@@ -6,7 +6,7 @@ decomposition through which a weighted blow-up structure on a hyperplane
 section extends to the ambient contraction.  All arithmetic is exact.
 """
 
-from .arith import ExpVec, Rat, divides, expvec, lcm_of, normalize_weights
+from .arith import ExpVec, divides, expvec, lcm_of, normalize_weights
 from .blowup import (
     Chart,
     ExceptionalInfo,
@@ -67,7 +67,6 @@ __all__ = [
     "HyperquotientType",
     "LiftInstance",
     "Polynomial",
-    "Rat",
     "WblowError",
     "WeightSystem",
     "WeightedIdeal",

@@ -1,27 +1,23 @@
-"""Exact arithmetic primitives: rationals, integer gcd/lcm, exponent vectors.
+"""Exact arithmetic primitives: integer gcd/lcm, exponent vectors, the enumeration budget.
 
-Rationals are ``fractions.Fraction`` (re-exported as ``Rat``): arbitrary
-precision, always in lowest terms with positive denominator.  Exponent
-vectors are plain tuples of non-negative ints; every operation that combines
-two of them checks lengths, because silently zip-truncating mixed dimensions
-is the classic lattice-code bug.
+Exponent vectors are plain tuples of non-negative ints; every operation that
+combines two of them checks lengths, because silently zip-truncating mixed
+dimensions is the classic lattice-code bug.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, EnumerationLimitError, InvalidWeightsError
 
-Rat = Fraction
-
 ExpVec = tuple  # tuple[int, ...]; alias kept abstract for 3.10 readability
 
-#: Default cap on enumeration box sizes (lattice points visited); override
-#: with the WBLOW_MAX_ENUM environment variable.
+#: Default cap on enumeration work: grid points for the fan check,
+#: n*ceil(k*m) steps for count_below, nominal box sizes (lattice points)
+#: elsewhere; override with the WBLOW_MAX_ENUM environment variable.
 DEFAULT_MAX_ENUM = 50_000_000
 
 
@@ -100,10 +96,14 @@ def max_enum_points() -> int:
 
 
 def check_enum_budget(points: int, what: str) -> None:
-    """Refuse enumerations whose bounding box exceeds the configured budget."""
+    """Refuse an enumeration whose counted work exceeds the configured budget.
+
+    ``points`` is the work the caller counts: grid points, dynamic-program
+    steps or the size of a nominal box.
+    """
     limit = max_enum_points()
     if points > limit:
         raise EnumerationLimitError(
-            f"{what} needs a box of {points} lattice points, over the limit of {limit};"
+            f"{what} needs {points} enumeration steps, over the limit of {limit};"
             " raise WBLOW_MAX_ENUM to allow it"
         )

@@ -8,12 +8,13 @@ coordinates map back by x_j -> xbar_j * xbar_i^(a_j/m).  The exceptional
 divisor is cut out by xbar_i in chart i, so the xbar_i-exponent after
 substitution is the vanishing order along it.
 
-Every chart exponent is an integer over the group order m, so the chart
-layer stores and substitutes integer numerators over m and builds a
-``Fraction`` only where a result leaves it (valuations, strict-transform
-exponents, ``Chart.substitution``).  Fractional powers are treated as
-formal symbols; all consequences used here (valuations, strict transforms)
-only need exponent arithmetic.
+Every fan ray and every chart exponent is an integer over the group order
+m, so the fan and the charts store integer numerators over m, the
+subdivision check and the cone indices use integer determinants, and a
+``Fraction`` is built only where a result leaves the layer (``Fan.rays``,
+valuations, strict-transform exponents, ``Chart.substitution``).
+Fractional powers are treated as formal symbols; all consequences used
+here (valuations, strict transforms) only need exponent arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
+from .arith import check_enum_budget
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -46,84 +48,70 @@ from .wideal import (
 class Fan:
     """Star subdivision data: unit rays e_1..e_n, the center e, and top cones.
 
-    ``rays`` lists e_1,...,e_n then e (exact rational vectors); cone i is
-    given by the indices of its n generating rays (all unit rays but the
-    i-th, plus the center).  The record itself is unvalidated so that tests
-    can corrupt it; ``build_fan`` output always satisfies the invariants and
-    ``fan_is_subdivision`` checks them.
+    ``numerators`` lists the rays as integer vectors over ``m`` (m*e_1, ...,
+    m*e_n, then the weights); ``rays`` is the same as exact rationals.  Cone
+    i is given by the indices of its n generating rays (all unit rays but
+    the i-th, plus the center).  The record itself is unvalidated so that
+    tests can corrupt it; ``build_fan`` output always satisfies the
+    invariants and ``fan_is_subdivision`` checks them.
     """
 
     n: int
     m: int
-    rays: tuple
+    numerators: tuple
     cones: tuple
+
+    @property
+    def rays(self) -> tuple:
+        """The rays as exact rational vectors."""
+        return tuple(tuple(Fraction(v, self.m) for v in row) for row in self.numerators)
 
 
 def build_fan(system: WeightSystem) -> Fan:
     """Fan of the blow-up: orthant star-subdivided at (1/m)(a_1,...,a_n)."""
-    n = system.n
-    unit = [tuple(Fraction(1 if k == j else 0) for k in range(n)) for j in range(n)]
-    center = tuple(Fraction(a, system.m) for a in system.weights)
-    rays = tuple(unit) + (center,)
+    n, m = system.n, system.m
+    unit = tuple(tuple(m if k == j else 0 for k in range(n)) for j in range(n))
     cones = tuple(
         tuple(j for j in range(n) if j != i) + (n,) for i in range(n)
     )
-    return Fan(n, system.m, rays, cones)
+    return Fan(n, m, unit + (system.weights,), cones)
 
 
-def _solve_cone_coordinates(gens, point):
-    """Solve sum(lambda_k * gens[k]) = point exactly; None when the gens are dependent."""
-    n = len(point)
-    # columns are the generators
-    aug = [[gens[k][row] for k in range(len(gens))] + [point[row]] for row in range(n)]
-    cols = len(gens)
-    perm = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        perm.append(c)
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        r += 1
-    if any(aug[i][-1] != 0 for i in range(r, n)):
-        return None  # inconsistent: point outside the span
-    coeffs = [Fraction(0)] * cols
-    for row, c in enumerate(perm):
-        coeffs[c] = aug[row][-1]
-    return coeffs
-
-
-def _det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
+def _det(rows) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination; every division is exact."""
     mat = [list(r) for r in rows]
     n = len(mat)
-    det = Fraction(1)
+    sign = prev = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if mat[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        mat[c] = [v * inv for v in mat[c]]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[c])]
-    return det
+            sign = -sign
+        top = mat[c]
+        for row in mat[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * top[c] - f * top[j]) // prev
+        prev = top[c]
+    return sign * prev
+
+
+def _adjugate(gens) -> list:
+    """Adjugate of the matrix with columns ``gens``: row k . p = det * p's k-th coordinate."""
+    n = len(gens)
+    rows = []
+    for k in range(n):
+        others = gens[:k] + gens[k + 1 :]
+        rows.append(
+            [(-1) ** (k + r) * _det([g[:r] + g[r + 1 :] for g in others]) for r in range(n)]
+        )
+    return rows
 
 
 #: Deterministic sampling grid for the subdivision check: all integer points
-#: of [0, GRID]^n except the origin, as exact rationals.
+#: of [0, GRID]^n except the origin.
 SUBDIVISION_GRID = 4
 
 
@@ -134,30 +122,29 @@ def fan_is_subdivision(fan: Fan, grid: int = SUBDIVISION_GRID) -> bool:
     (b) every sampled orthant point lies in some cone; (c) no sampled point
     is interior to two cones.  Sampling uses the fixed integer grid above,
     so the check is deterministic.  A grid below 1 samples no point, so it
-    is refused rather than reported as a check that passed.
+    is refused rather than reported as a check that passed; the budget is
+    charged the (grid+1)^n grid points.  The signs of D * (adjugate . p),
+    with D a cone's determinant, are those of p's cone coordinates.
     """
     if grid < 1:
         raise InvalidInstanceError(f"the sample grid must be at least 1, got {grid}")
-    gens_by_cone = []
+    adjugates = []
     for cone in fan.cones:
-        gens = [fan.rays[k] for k in cone]
-        if len(gens) != fan.n or _det(gens) == 0:
+        gens = [fan.numerators[k] for k in cone]
+        if len(gens) != fan.n or (det := _det(gens)) == 0:
             return False
-        gens_by_cone.append(gens)
+        adjugates.append([[det * v for v in row] for row in _adjugate(gens)])
 
+    check_enum_budget((grid + 1) ** fan.n, "fan subdivision check")
     for point in itertools.product(range(grid + 1), repeat=fan.n):
         if not any(point):
             continue
-        p = tuple(Fraction(v) for v in point)
-        covered = 0
-        interior = 0
-        for gens in gens_by_cone:
-            coeffs = _solve_cone_coordinates(gens, p)
-            if coeffs is None:
-                continue
-            if all(c >= 0 for c in coeffs):
+        covered = interior = 0
+        for adj in adjugates:
+            lowest = min(sum(map(mul, row, point)) for row in adj)
+            if lowest >= 0:
                 covered += 1
-                if all(c > 0 for c in coeffs):
+                if lowest > 0:
                     interior += 1
         if covered == 0 or interior > 1:
             return False
@@ -168,18 +155,21 @@ def cone_index(fan: Fan, i: int) -> int:
     """Index of chart cone i in the blow-up lattice (unit lattice plus the center ray).
 
     Computed as |det| of the cone generators in standard coordinates times
-    the order of the center modulo the unit lattice (the lcm of its entry
-    denominators); must come out an integer.
+    the order of the center modulo the unit lattice.  On numerators over m
+    that is |det| * (m / gcd(m, center)) / m^n, which must come out an
+    integer.
     """
     if not 1 <= i <= fan.n:
         raise DimensionError(f"chart index {i} out of range 1..{fan.n}")
-    gens = [fan.rays[k] for k in fan.cones[i - 1]]
-    vol = abs(_det(gens))
-    center_order = math.lcm(*(fr.denominator for fr in fan.rays[-1]))
-    idx = vol * center_order
-    if idx.denominator != 1:
-        raise InternalConsistencyError(f"cone index {idx} is not an integer")
-    return int(idx)
+    m = fan.m
+    vol = abs(_det([fan.numerators[k] for k in fan.cones[i - 1]]))
+    center_order = m // math.gcd(m, *fan.numerators[-1])
+    idx, rest = divmod(vol * center_order, m**fan.n)
+    if rest:
+        raise InternalConsistencyError(
+            f"cone index {Fraction(vol * center_order, m**fan.n)} is not an integer"
+        )
+    return idx
 
 
 @dataclass(frozen=True, slots=True)

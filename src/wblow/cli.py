@@ -12,12 +12,13 @@ takes a target, its help line and its parameters.  The argparse subparsers,
 ``validate_spec``, dispatch and ``spec_from_args`` are all generated from
 that table, so argv and batch entries are validated by the same code.
 
-The environment variable WBLOW_MAX_ENUM caps enumeration box sizes
-(default 50 million lattice points); exceeding the cap exits 1 with a clear
-message.  Batch files are JSON lists of run specifications; batch results
-are emitted in input order, a malformed entry yields an invalid-instance
-report for that entry alone, and the aggregate exit code is the maximum of
-the individual ones.
+The environment variable WBLOW_MAX_ENUM caps enumeration work (default 50
+million): grid points for ``fan``, n*ceil(k*m) steps for the count below a
+threshold, and nominal box sizes (lattice points) elsewhere; exceeding the
+cap exits 1 with a clear message.  Batch files are JSON lists of run
+specifications; batch results are emitted in input order, a malformed entry
+yields an invalid-instance report for that entry alone, and the aggregate
+exit code is the maximum of the individual ones.
 """
 
 from __future__ import annotations
@@ -708,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Notation: '1/m(a1,...,an)' for weight systems and cyclic quotients;"
             " '1/m(a0,...,an;e){g=<poly>}' for hyperquotients."
-            " WBLOW_MAX_ENUM caps enumeration box sizes."
+            " WBLOW_MAX_ENUM caps enumeration work: grid points for fan,"
+            " n*ceil(k*m) steps for the count below a threshold, box sizes elsewhere."
         ),
     )
     common = _Parser(add_help=False)

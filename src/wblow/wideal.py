@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import le, mul
 
 from .arith import ceil_div, check_enum_budget, divides, lcm_of, normalize_weights, vec_add
 from .errors import (
@@ -117,7 +117,10 @@ class WeightedIdeal:
         return self.k * self.system.m
 
     def contains_monomial(self, s) -> bool:
-        return any(divides(g, s) for g in self.gens)
+        n = self.system.n
+        if len(s) != n:
+            raise DimensionError(f"exponent vectors of lengths {n} and {len(s)} cannot be combined")
+        return any(all(map(le, g, s)) for g in self.gens)
 
 
 def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
@@ -311,26 +314,20 @@ def count_below(system: WeightSystem, k, invariant_only: bool = False) -> int:
 
     With ``invariant_only`` the count is restricted to vectors with
     sum(s_i a_i) = 0 mod m (the invariant monomials of the quotient action).
+    Weight sums are integers, so weight < k means a numerator below
+    t = ceil(k*m).  p[w], the number of vectors of weight numerator w, is the
+    coefficient of x^w in prod 1/(1 - x^a_i) (the restricted partition
+    function, Beck & Robins, *Computing the Continuous Discretely*, ch. 1);
+    it is built one weight at a time in n*t steps, which the budget charges.
     """
     k = Fraction(k)
     if k <= 0:
         return 0
-    tau = k * system.m  # compare integer weight sums against this exact rational
-    n, m = system.n, system.m
-    weights = system.weights
-    box = 1
-    for a in weights:
-        box *= math.ceil(tau / a) + 1
-    check_enum_budget(box, "below-threshold count")
-
-    def walk(j: int, acc: int) -> int:
-        if j == n:
-            return 1 if (not invariant_only or acc % m == 0) else 0
-        total = 0
-        w = acc
-        while w < tau:
-            total += walk(j + 1, w)
-            w += weights[j]
-        return total
-
-    return walk(0, 0)
+    t = math.ceil(k * system.m)
+    check_enum_budget(system.n * t, "below-threshold count")
+    p = [0] * t
+    p[0] = 1
+    for a in system.weights:
+        for w in range(a, t):
+            p[w] += p[w - a]
+    return sum(itertools.islice(p, 0, None, system.m)) if invariant_only else sum(p)

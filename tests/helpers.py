@@ -2,9 +2,9 @@
 
 The oracles here deliberately use different algorithms from the library
 (full-box enumeration with pairwise divisibility minimalization, direct
-definition checks) so that agreement is meaningful.  The chart oracles are
-the library's former ``Fraction`` chart route, kept as the reference for the
-integer-numerator one; ``invert_transform`` and ``verify_generator_lift``
+definition checks) so that agreement is meaningful.  The chart and fan
+oracles are the library's former ``Fraction`` routes, kept as the reference
+for the integer-numerator ones; ``invert_transform`` and ``verify_generator_lift``
 are cross-checks that only tests use.
 """
 
@@ -192,6 +192,99 @@ def fraction_strict_transform(
     if min(Fraction(e[i0]) for e, _ in terms) != 0:
         raise InternalConsistencyError("residual does not reach chart-coordinate exponent 0")
     return report
+
+
+# ---------------------------------------------------------------------------
+# The Fraction fan route
+
+
+def fraction_solve_cone_coordinates(gens, point):
+    """Solve sum(lambda_k * gens[k]) = point exactly; None when the gens are dependent."""
+    n = len(point)
+    # columns are the generators
+    aug = [[gens[k][row] for k in range(len(gens))] + [point[row]] for row in range(n)]
+    cols = len(gens)
+    perm = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        perm.append(c)
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
+        r += 1
+    if any(aug[i][-1] != 0 for i in range(r, n)):
+        return None  # inconsistent: point outside the span
+    coeffs = [Fraction(0)] * cols
+    for row, c in enumerate(perm):
+        coeffs[c] = aug[row][-1]
+    return coeffs
+
+
+def fraction_det(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over the rationals."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        inv = Fraction(1) / mat[c][c]
+        mat[c] = [v * inv for v in mat[c]]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[c])]
+    return det
+
+
+def fraction_fan_is_subdivision(fan, grid: int) -> bool:
+    """Oracle: solve for every grid point's cone coordinates in rationals, cone by cone."""
+    gens_by_cone = []
+    for cone in fan.cones:
+        gens = [fan.rays[k] for k in cone]
+        if len(gens) != fan.n or fraction_det(gens) == 0:
+            return False
+        gens_by_cone.append(gens)
+    for point in itertools.product(range(grid + 1), repeat=fan.n):
+        if not any(point):
+            continue
+        p = tuple(Fraction(v) for v in point)
+        covered = 0
+        interior = 0
+        for gens in gens_by_cone:
+            coeffs = fraction_solve_cone_coordinates(gens, p)
+            if coeffs is None:
+                continue
+            if all(c >= 0 for c in coeffs):
+                covered += 1
+                if all(c > 0 for c in coeffs):
+                    interior += 1
+        if covered == 0 or interior > 1:
+            return False
+    return True
+
+
+def fraction_cone_index(fan, i: int) -> int:
+    """Oracle: |det| of the rational cone generators times the lcm of the center's denominators."""
+    if not 1 <= i <= fan.n:
+        raise DimensionError(f"chart index {i} out of range 1..{fan.n}")
+    gens = [fan.rays[k] for k in fan.cones[i - 1]]
+    idx = abs(fraction_det(gens)) * math.lcm(*(fr.denominator for fr in fan.rays[-1]))
+    if idx.denominator != 1:
+        raise InternalConsistencyError(f"cone index {idx} is not an integer")
+    return int(idx)
 
 
 def invert_transform(teq: TransformedEquation, system: WeightSystem) -> Polynomial:

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     ceil_div,
     fraction_chart_rows,
+    fraction_cone_index,
     fraction_exceptional_valuation,
+    fraction_fan_is_subdivision,
     fraction_strict_transform,
     invert_transform,
     random_semi_invariant,
@@ -57,6 +59,7 @@ class TestBuildFan:
     def test_fractional_center(self):
         fan = build_fan(WeightSystem((1, 1), 2))
         assert fan.rays[-1] == (Fraction(1, 2), Fraction(1, 2))
+        assert (fan.m, fan.numerators) == (2, ((2, 0), (0, 2), (1, 1)))
 
 
 class TestSubdivisionCheck:
@@ -66,14 +69,14 @@ class TestSubdivisionCheck:
 
     def test_corrupted_center_detected(self):
         fan = build_fan(WeightSystem((1, 2), 1))
-        bad_rays = fan.rays[:-1] + (tuple(-v for v in fan.rays[-1]),)
+        bad_rays = fan.numerators[:-1] + (tuple(-v for v in fan.numerators[-1]),)
         corrupted = Fan(fan.n, fan.m, bad_rays, fan.cones)
         assert not fan_is_subdivision(corrupted)
 
     def test_degenerate_cone_detected(self):
         fan = build_fan(WeightSystem((1, 2), 1))
         # make the center equal to a unit ray: cone 1 becomes degenerate
-        bad_rays = fan.rays[:-1] + (fan.rays[0],)
+        bad_rays = fan.numerators[:-1] + (fan.numerators[0],)
         corrupted = Fan(fan.n, fan.m, bad_rays, fan.cones)
         assert not fan_is_subdivision(corrupted)
 
@@ -81,6 +84,38 @@ class TestSubdivisionCheck:
     def test_grid_without_sample_points_refused(self, grid):
         with pytest.raises(InvalidInstanceError):
             fan_is_subdivision(build_fan(WeightSystem((1, 2), 1)), grid)
+
+
+#: Largest sample grid per dimension for the oracle comparison: the Fraction
+#: route solves a linear system per grid point and cone, so the grid stays
+#: small enough (at most 243 points) for a hypothesis run.
+ORACLE_GRID = {1: 12, 2: 6, 3: 4, 4: 2, 5: 2}
+
+
+class TestAgainstFractionFanRoute:
+    """The integer subdivision check and cone indices against the former Fraction route."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_route(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        weights = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n), label="weights")
+        m = data.draw(st.integers(1, 6), label="m")
+        fan = build_fan(WeightSystem.normalized(weights, m)[0])
+        center = fan.numerators[-1]
+        corruption = data.draw(st.sampled_from(["none", "negated", "unit", "zero"]), label="corruption")
+        if corruption == "negated":
+            center = tuple(-v for v in center)
+        elif corruption == "unit":
+            center = fan.numerators[data.draw(st.integers(0, n - 1), label="unit ray")]
+        elif corruption == "zero":
+            j = data.draw(st.integers(0, n - 1), label="zero entry")
+            center = center[:j] + (0,) + center[j + 1 :]
+        fan = Fan(n, fan.m, fan.numerators[:-1] + (center,), fan.cones)
+        grid = data.draw(st.integers(1, ORACLE_GRID[n]), label="grid")
+        assert fan_is_subdivision(fan, grid) == fraction_fan_is_subdivision(fan, grid)
+        for i in range(1, n + 1):
+            assert cone_index(fan, i) == fraction_cone_index(fan, i)
 
 
 class TestConeIndex:

@@ -311,6 +311,25 @@ class TestMainEntry:
         assert payload["error"]["kind"] == "invalid-instance"
         assert "grid" in payload["error"]["message"]
 
+    def test_fan_grid_over_budget_exits_1(self, capsys, monkeypatch):
+        # 201^4 grid points, about 1.6e9, is over the default cap
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        assert main(["fan", "1/1(1,1,1,1)", "--grid", "200", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"]["kind"] == "enumeration-limit"
+        assert str(201**4) in payload["error"]["message"]
+
+    def test_fan_in_six_variables_reports(self, capsys, monkeypatch):
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        assert main(["fan", "1/1(1,1,1,1,1,1)", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["result"]["subdivision_check"] == {"grid": 4, "ok": True}
+        assert payload["result"]["cone_indices"] == [1] * 6
+
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1
         captured = capsys.readouterr()

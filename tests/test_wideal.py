@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_min_gens, brute_upset_in_box, ceil_div
-from wblow.errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError, UndefinedWeightError
+from wblow.errors import DimensionError, InternalConsistencyError, InvalidInstanceError, InvalidWeightsError, UndefinedWeightError
 from wblow.quotient import Polynomial
 from wblow.wideal import (
     WeightSystem,
@@ -148,6 +149,12 @@ class TestIdealGenerators:
             in_ideal = monomial_weight(s, system) >= k
             assert ideal.contains_monomial(s) == in_ideal
 
+    @pytest.mark.parametrize("s", [(1, 2), (1, 2, 3, 4)])
+    def test_membership_query_of_wrong_length(self, s):
+        ideal = ideal_generators(WeightSystem((1, 2, 3), 1), 4)
+        with pytest.raises(DimensionError, match=f"lengths 3 and {len(s)}"):
+            ideal.contains_monomial(s)
+
     def test_minimality_removal_loses_monomials(self):
         ideal = ideal_generators(WeightSystem((2, 3), 1), 6)
         for g in ideal.gens:
@@ -285,18 +292,30 @@ class TestCountBelow:
 
     def test_matches_box_enumeration(self):
         rng = random.Random(17)
-        for _ in range(20):
+        for _ in range(40):
             n = rng.randint(1, 3)
             while True:
                 weights = tuple(rng.randint(1, 6) for _ in range(n))
                 if math.gcd(*weights) == 1:
                     break
-            system = WeightSystem(weights, rng.randint(1, 4))
+            system = WeightSystem(weights, rng.randint(1, 6))
             k = Fraction(rng.randint(1, 10), rng.randint(1, 3))
             caps = [math.ceil(k * system.m / w) + 1 for w in weights]
-            expected = sum(
-                1
+            below = [
+                s
                 for s in itertools.product(*[range(c + 1) for c in caps])
                 if monomial_weight(s, system) < k
-            )
-            assert count_below(system, k) == expected
+            ]
+            invariant = [
+                s for s in below if sum(map(operator.mul, s, weights)) % system.m == 0
+            ]
+            assert count_below(system, k) == len(below)
+            assert count_below(system, k, invariant_only=True) == len(invariant)
+
+    def test_beyond_the_nominal_box(self):
+        # weight numerators below 26*5 = 130; the box of (131)^2 * (66)^2 =
+        # 74,753,316 points is over the default cap, the count is not.  With
+        # 2(s3 + s4) = 2j < 130, the unit-weight pair has r(r+1)/2 choices
+        # for r = 130 - 2j, and j + 1 pairs (s3, s4) have s3 + s4 = j.
+        expected = sum((j + 1) * (130 - 2 * j) * (131 - 2 * j) // 2 for j in range(65))
+        assert count_below(WeightSystem((1, 1, 2, 2), 5), 26) == expected
