@@ -16,7 +16,8 @@ from .errors import DimensionError, EnumerationLimitError, InvalidWeightsError
 ExpVec = tuple  # tuple[int, ...]; alias kept abstract for 3.10 readability
 
 #: Default cap on enumeration work: grid points for the fan check,
-#: n*ceil(k*m) steps for count_below, nominal box sizes (lattice points)
+#: n*ceil(k*m) steps for count_below, residue-table steps and per-degree
+#: scans for the lifting check, nominal box sizes (lattice points)
 #: elsewhere; override with the WBLOW_MAX_ENUM environment variable.
 DEFAULT_MAX_ENUM = 50_000_000
 
@@ -99,7 +100,7 @@ def check_enum_budget(points: int, what: str) -> None:
     """Refuse an enumeration whose counted work exceeds the configured budget.
 
     ``points`` is the work the caller counts: grid points, dynamic-program
-    steps or the size of a nominal box.
+    or residue-table steps, or the size of a nominal box.
     """
     limit = max_enum_points()
     if points > limit:

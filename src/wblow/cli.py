@@ -14,8 +14,10 @@ that table, so argv and batch entries are validated by the same code.
 
 The environment variable WBLOW_MAX_ENUM caps enumeration work (default 50
 million): grid points for ``fan``, n*ceil(k*m) steps for the count below a
-threshold, and nominal box sizes (lattice points) elsewhere; exceeding the
-cap exits 1 with a clear message.  Batch files are JSON lists of run
+threshold, (n - 1 + number of degrees) * A residue-table steps for the
+lifting check with appended weight A (``lift-check``, ``chain``), and
+nominal box sizes (lattice points) elsewhere; exceeding the cap exits 1
+with a clear message.  Batch files are JSON lists of run
 specifications; batch results are emitted in input order, a malformed entry
 yields an invalid-instance report for that entry alone, and the aggregate
 exit code is the maximum of the individual ones.
@@ -342,9 +344,7 @@ def _cmd_lift_check(spec: RunSpec):
     mutate = spec.parameters.get("mutate")
     if mutate is not None:
         inst = lifting.mutated_instance(inst, mutate)
-    d_max = spec.parameters.get("dmax", 6)
-    degree_bound = spec.parameters.get("degree_bound")
-    report = lifting.verify_decomposition_range(inst, d_max, degree_bound)
+    report = lifting.verify_decomposition_range(inst, spec.parameters.get("dmax", 6))
     result = {
         "instance": _instance_dict(inst),
         "mutated": mutate is not None,
@@ -551,7 +551,7 @@ COMMANDS = {
         _cmd_lift_check, False, "decomposition identity sweep",
         (
             Param("sigma_prime", str, True), Param("m", int, True), Param("a", int, True),
-            Param("dmax", int), Param("degree_bound", int), Param("mutate", int),
+            Param("dmax", int), Param("mutate", int),
         ),
     ),
     "chain": Command(
@@ -710,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Notation: '1/m(a1,...,an)' for weight systems and cyclic quotients;"
             " '1/m(a0,...,an;e){g=<poly>}' for hyperquotients."
             " WBLOW_MAX_ENUM caps enumeration work: grid points for fan,"
-            " n*ceil(k*m) steps for the count below a threshold, box sizes elsewhere."
+            " n*ceil(k*m) steps for the count below a threshold, residue-table"
+            " steps for lift-check and chain, box sizes elsewhere."
         ),
     )
     common = _Parser(add_help=False)

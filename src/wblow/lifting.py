@@ -8,22 +8,23 @@ two-sided decomposition of the numerator-form ideals
 N(t) = {s : sum(s_j w_j) >= t}: multiplication by the new variable embeds
 N((d-a)b) as the part with positive last exponent, and the quotient is the
 section's own ideal N'(db), with b = lcm(sigma').  This module checks that
-decomposition exhaustively over the sufficient box, degree by degree, and
-reports the first violating exponent vector when it fails (which it does
-precisely when the appended weight is wrong).
+decomposition degree by degree and reports the first violating exponent
+vector when it fails (which it does precisely when the appended weight is
+wrong).
 
-The box check is performed through an exact reduction: the conditions depend
-on an exponent vector only through the weight of its first n-1 coordinates
-and its last coordinate, so the engine enumerates achievable prefix weights
-(a bounded-count sum set, computed with big-integer bitmasks) and solves the
-last coordinate analytically.  This is pointwise equivalent to walking the
-box and keeps desk-scale sweeps fast; witnesses are reconstructed as actual
-exponent vectors.
+The check walks no box.  With A the appended weight and delta = A - a*b,
+a prefix of weight W fails at degree d iff ceil(u/A) != max(1, ceil((u +
+delta)/A)) for u = d*b - W > min(a*b, A), and then the least element of
+W's residue class mod A in the semigroup of section weights fails too.  So
+only those class minima are scanned, from a table built once per (section
+weights, A) by the round-robin algorithm of Boecker and Liptak.  delta = 0
+empties the violating set, which is why derived instances pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,129 +133,127 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _suffix_sum_masks(weights, caps):
-    """masks[j] has bit W set iff W is a sum t_j*w_j + ... + t_last*w_last with t_i <= caps[i]."""
-    n = len(weights)
-    masks = [0] * (n + 1)
-    masks[n] = 1
-    for j in range(n - 1, -1, -1):
-        acc = 0
-        block = masks[j + 1]
-        for t in range(caps[j] + 1):
-            acc |= block << (t * weights[j])
-        masks[j] = acc
-    return masks
+@functools.lru_cache(maxsize=64)
+def _class_minima(weights: tuple, modulus: int) -> tuple:
+    """Sorted least elements of the semigroup spanned by weights, one per residue mod modulus.
+
+    The round-robin shortest-path table of Boecker and Liptak, "A fast and
+    simple algorithm for the money changing problem", Algorithmica 48
+    (2007): each weight walks every cycle of residues once, starting from
+    the cycle's current minimum, in len(weights) * modulus steps.  Residues
+    that no sum reaches are left out.  Memoised, like ``blowup.chart``.
+    """
+    table = [math.inf] * modulus
+    table[0] = 0
+    for w in weights:
+        g = math.gcd(w, modulus)
+        for start in range(g):
+            best = min(table[start::g])
+            if best == math.inf:
+                continue
+            for _ in range(modulus // g - 1):
+                best += w
+                r = best % modulus
+                if table[r] < best:
+                    best = table[r]
+                else:
+                    table[r] = best
+    return tuple(sorted(v for v in table if v < math.inf))
 
 
-def _prefix_for_weight(weights, caps, masks, target):
-    """Lexicographically smallest bounded exponent vector with the given weight."""
-    out = []
-    rem = target
-    for j, w in enumerate(weights):
-        for t in range(caps[j] + 1):
-            r = rem - t * w
-            if r < 0:
-                break
-            if (masks[j + 1] >> r) & 1:
-                out.append(t)
-                rem = r
-                break
-        else:
+def _prefix_for_weight(weights, target):
+    """Lexicographically smallest exponent vector with the given weight."""
+    full = (1 << (target + 1)) - 1
+    masks = [1]  # masks[k] has bit W set iff W <= target is a sum of the last k weights
+    for w in reversed(weights[1:]):
+        acc, shift = masks[-1], w
+        while shift <= target:  # after k rounds each exponent runs over [0, 2^k)
+            acc |= (acc << shift) & full
+            shift *= 2
+        masks.append(acc)
+    out, rem = [], target
+    for w, mask in zip(weights, reversed(masks)):
+        t = next((t for t in range(rem // w + 1) if (mask >> (rem - t * w)) & 1), None)
+        if t is None:
             raise InternalConsistencyError(f"weight {target} marked achievable but not realizable")
+        out.append(t)
+        rem -= t * w
     return tuple(out)
 
 
-def verify_decomposition(
-    inst: LiftInstance, d: int, degree_bound: int | None = None
-) -> CheckReport:
-    """Check the two-sided monomial decomposition at degree d over the sufficient box.
+def _class_minima_for(inst: LiftInstance, degrees: int, what: str) -> tuple:
+    """The memoised residue table of the instance, charged for itself and the degree scans."""
+    if inst.weights[:-1] != inst.base_weights:
+        raise InternalConsistencyError("instance weights disagree with section weights")
+    check_enum_budget((len(inst.base_weights) + degrees) * inst.lifted_weight, what)
+    return _class_minima(inst.base_weights, inst.lifted_weight)
 
-    For every s in the box (s_i <= ceil(d*b / w_i) + 1, derived here rather
-    than trusted from the caller; ``degree_bound`` may only enlarge it):
 
-    - s_n >= 1: s is in N(d*b) iff s - e_n is in N((d - a)*b), the lower
-      level meaning the unit ideal when d - a <= 0;
-    - s_n = 0: s is in N(d*b) iff its prefix is in the section ideal at the
-      same threshold.  The two sides compare the same weighted sum against
-      the same threshold once the weight vectors agree coordinatewise, which
-      is checked structurally up front.
+def _violation(inst: LiftInstance, d: int, minima: tuple) -> Violation | None:
+    """The witness at the least violating class minimum, or None when degree d passes."""
+    a_n = inst.lifted_weight
+    ab = inst.multiplier * inst.step
+    delta = a_n - ab
+    db = d * inst.step
+    for w_prefix in minima:
+        if w_prefix >= db - min(ab, a_n):
+            return None
+        u = db - w_prefix
+        first_top = ceil_div(u, a_n)
+        first_shifted = max(1, ceil_div(u + delta, a_n))
+        if first_top != first_shifted:
+            break
+    else:
+        return None
 
-    Both conditions at fixed prefix are monotone in s_n, so each achievable
-    prefix weight is checked by comparing first-true thresholds; a mismatch
-    is reported at the smallest violating last exponent.
+    s_n = min(first_top, first_shifted)
+    monomial = _prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
+    lower = (d - inst.multiplier) * inst.step
+    lower_is_unit = (d - inst.multiplier) <= 0
+    total = w_prefix + s_n * a_n
+    in_top = total >= db
+    in_lower = lower_is_unit or (total - a_n) >= lower
+    explanation = (
+        f"at degree {d}: monomial {monomial} has weight {total};"
+        f" level-{db} membership is {in_top} but dividing by the last"
+        f" variable gives level-{lower if not lower_is_unit else 'unit'}"
+        f" membership {in_lower}"
+    )
+    return Violation(d, monomial, explanation)
+
+
+def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
+    """Check the two-sided monomial decomposition at degree d.
+
+    An exponent vector s with s_n >= 1 must lie in N(d*b) iff s - e_n lies in
+    N((d - a)*b), the unit ideal when d <= a (for s_n = 0 both sides compare
+    the same weighted sum once the weight vectors agree, checked up front).
+    For a prefix of weight W, u = d*b - W and delta = A - a*b, the least
+    s_n on each side is ceil(u/A) and max(1, ceil((u + delta)/A)); they can
+    differ only when u > min(a*b, A).  Adding A to W lowers both by one, so
+    if W fails, so does the least semigroup element of its class mod A: the
+    degree fails iff a class minimum below d*b - min(a*b, A) fails, and the
+    witness is the lex-smallest prefix of the least such minimum.  delta = 0
+    empties the violating set, which is why derived instances pass; the
+    check still runs.  The budget is charged for the table and one scan.
     """
     if d < 1:
         raise InvalidInstanceError(f"d must be >= 1, got {d}")
-    if inst.weights[:-1] != inst.base_weights:
-        raise InternalConsistencyError("instance weights disagree with section weights")
-
-    db = d * inst.step
-    lower = (d - inst.multiplier) * inst.step
-    lower_is_unit = (d - inst.multiplier) <= 0
-    a_n = inst.lifted_weight
-
-    caps = [ceil_div(db, w) + 1 for w in inst.base_weights]
-    cap_n = ceil_div(db, a_n) + 1
-    if degree_bound is not None:
-        caps = [max(c, degree_bound) for c in caps]
-        cap_n = max(cap_n, degree_bound)
-    box = math.prod(c + 1 for c in caps) * (cap_n + 1)
-    check_enum_budget(box, f"decomposition check at degree {d}")
-
-    masks = _suffix_sum_masks(inst.base_weights, caps)
-    sentinel = cap_n + 1
-    remaining = masks[0]
-    while remaining:
-        low_bit = remaining & -remaining
-        remaining ^= low_bit
-        w_prefix = low_bit.bit_length() - 1
-
-        if w_prefix >= db:
-            first_top = 1
-        else:
-            first_top = ceil_div(db - w_prefix, a_n)
-            if first_top > cap_n:
-                first_top = sentinel
-        if lower_is_unit or w_prefix >= lower:
-            first_shifted = 1
-        else:
-            first_shifted = ceil_div(lower - w_prefix, a_n) + 1
-            if first_shifted > cap_n:
-                first_shifted = sentinel
-
-        if first_top != first_shifted:
-            s_n = min(first_top, first_shifted)
-            prefix = _prefix_for_weight(inst.base_weights, caps, masks, w_prefix)
-            monomial = prefix + (s_n,)
-            total = w_prefix + s_n * a_n
-            in_top = total >= db
-            in_lower = lower_is_unit or (total - a_n) >= lower
-            explanation = (
-                f"at degree {d}: monomial {monomial} has weight {total};"
-                f" level-{db} membership is {in_top} but dividing by the last"
-                f" variable gives level-{lower if not lower_is_unit else 'unit'}"
-                f" membership {in_lower}"
-            )
-            return CheckReport(inst, (d,), "fail", Violation(d, monomial, explanation))
-
-    return CheckReport(inst, (d,), "pass", None)
+    v = _violation(inst, d, _class_minima_for(inst, 1, f"decomposition check at degree {d}"))
+    return CheckReport(inst, (d,), "fail" if v else "pass", v)
 
 
-def verify_decomposition_range(
-    inst: LiftInstance, d_max: int, degree_bound: int | None = None
-) -> CheckReport:
-    """Run the decomposition check for every d in 1..d_max; merged ascending."""
+def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
+    """Check every d in 1..d_max; the report carries the first failing degree's witness.
+
+    The whole sweep is charged to the budget before it starts, and it stops
+    at the first failing degree.
+    """
     if d_max < 1:
         raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
-    d_range = tuple(range(1, d_max + 1))
-    reports = [verify_decomposition(inst, d, degree_bound) for d in d_range]
-    first_violation = None
-    for report in reports:
-        if not report.passed and first_violation is None:
-            first_violation = report.counterexample
-    if first_violation is not None:
-        return CheckReport(inst, d_range, "fail", first_violation)
-    return CheckReport(inst, d_range, "pass", None)
+    minima = _class_minima_for(inst, d_max, f"decomposition sweep to degree {d_max}")
+    v = next(filter(None, (_violation(inst, d, minima) for d in range(1, d_max + 1))), None)
+    return CheckReport(inst, tuple(range(1, d_max + 1)), "fail" if v else "pass", v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,11 +293,8 @@ def mutation_study(inst: LiftInstance, d_max: int, radius: int = 3) -> MutationS
         if delta == 0 or inst.multiplier * inst.base_lcm + delta < 1:
             continue
         mut = mutated_instance(inst, delta)
-        first_fail = None
-        for d in range(1, d_max + 1):
-            if not verify_decomposition(mut, d).passed:
-                first_fail = d
-                break
+        failure = verify_decomposition_range(mut, d_max).counterexample
+        first_fail = None if failure is None else failure.d
         outcomes.append(MutationOutcome(delta, mut.lifted_weight, first_fail))
     return MutationStudy(inst, d_max, tuple(outcomes))
 

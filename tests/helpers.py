@@ -4,8 +4,10 @@ The oracles here deliberately use different algorithms from the library
 (full-box enumeration with pairwise divisibility minimalization, direct
 definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
-for the integer-numerator ones; ``invert_transform`` and ``verify_generator_lift``
-are cross-checks that only tests use.
+for the integer-numerator ones, and ``box_verify_decomposition`` is the former
+box engine of the lifting check, kept as the reference for the residue-table
+one; ``invert_transform`` and ``verify_generator_lift`` are cross-checks that
+only tests use.
 """
 
 from __future__ import annotations
@@ -348,3 +350,104 @@ def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
         f"at degree {d}: generator sets differ; {witness} appears only in {side}"
     )
     return CheckReport(inst, (d,), "fail", Violation(d, witness, explanation))
+
+
+# ---------------------------------------------------------------------------
+# The former box engine of the decomposition check
+
+
+def _box_suffix_sum_masks(weights, caps):
+    """masks[j] has bit W set iff W is a sum t_j*w_j + ... + t_last*w_last with t_i <= caps[i]."""
+    n = len(weights)
+    masks = [0] * (n + 1)
+    masks[n] = 1
+    for j in range(n - 1, -1, -1):
+        acc = 0
+        block = masks[j + 1]
+        for t in range(caps[j] + 1):
+            acc |= block << (t * weights[j])
+        masks[j] = acc
+    return masks
+
+
+def _box_prefix_for_weight(weights, caps, masks, target):
+    """Lexicographically smallest bounded exponent vector with the given weight."""
+    out = []
+    rem = target
+    for j, w in enumerate(weights):
+        for t in range(caps[j] + 1):
+            r = rem - t * w
+            if r < 0:
+                break
+            if (masks[j + 1] >> r) & 1:
+                out.append(t)
+                rem = r
+                break
+        else:
+            raise InternalConsistencyError(f"weight {target} marked achievable but not realizable")
+    return tuple(out)
+
+
+def box_verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
+    """Oracle: the decomposition check at degree d over the sufficient box.
+
+    Every achievable prefix weight in the box (s_i <= ceil(d*b / w_i) + 1),
+    found as a bitmask sum set, is checked by comparing the first last
+    exponents that put s in N(d*b) and s - e_n in the lower level; the
+    first mismatch in ascending prefix weight is the witness.
+    """
+    if d < 1:
+        raise InvalidInstanceError(f"d must be >= 1, got {d}")
+    db = d * inst.step
+    lower = (d - inst.multiplier) * inst.step
+    lower_is_unit = (d - inst.multiplier) <= 0
+    a_n = inst.lifted_weight
+
+    caps = [ceil_div(db, w) + 1 for w in inst.base_weights]
+    cap_n = ceil_div(db, a_n) + 1
+    masks = _box_suffix_sum_masks(inst.base_weights, caps)
+    sentinel = cap_n + 1
+    remaining = masks[0]
+    while remaining:
+        low_bit = remaining & -remaining
+        remaining ^= low_bit
+        w_prefix = low_bit.bit_length() - 1
+
+        if w_prefix >= db:
+            first_top = 1
+        else:
+            first_top = ceil_div(db - w_prefix, a_n)
+            if first_top > cap_n:
+                first_top = sentinel
+        if lower_is_unit or w_prefix >= lower:
+            first_shifted = 1
+        else:
+            first_shifted = ceil_div(lower - w_prefix, a_n) + 1
+            if first_shifted > cap_n:
+                first_shifted = sentinel
+
+        if first_top != first_shifted:
+            s_n = min(first_top, first_shifted)
+            prefix = _box_prefix_for_weight(inst.base_weights, caps, masks, w_prefix)
+            monomial = prefix + (s_n,)
+            total = w_prefix + s_n * a_n
+            in_top = total >= db
+            in_lower = lower_is_unit or (total - a_n) >= lower
+            explanation = (
+                f"at degree {d}: monomial {monomial} has weight {total};"
+                f" level-{db} membership is {in_top} but dividing by the last"
+                f" variable gives level-{lower if not lower_is_unit else 'unit'}"
+                f" membership {in_lower}"
+            )
+            return CheckReport(inst, (d,), "fail", Violation(d, monomial, explanation))
+
+    return CheckReport(inst, (d,), "pass", None)
+
+
+def box_first_violation(inst: LiftInstance, d_max: int) -> Violation | None:
+    """Oracle: the box engine's witness at the first failing d in 1..d_max, or None."""
+    for d in range(1, d_max + 1):
+        report = box_verify_decomposition(inst, d)
+        if not report.passed:
+            return report.counterexample
+    return None

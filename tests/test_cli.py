@@ -330,6 +330,19 @@ class TestMainEntry:
         assert payload["result"]["subdivision_check"] == {"grid": 4, "ok": True}
         assert payload["result"]["cone_indices"] == [1] * 6
 
+    def test_lift_check_sweep_over_budget_exits_1(self, capsys, monkeypatch):
+        # charged (2 + 10^8) * 2 residue-table steps before anything sized by dmax exists
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1",
+                "--dmax", "100000000", "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"]["kind"] == "enumeration-limit"
+        assert "200000004" in payload["error"]["message"]
+
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1
         captured = capsys.readouterr()

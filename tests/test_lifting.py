@@ -3,9 +3,15 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import verify_generator_lift
-from wblow.errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError
+from helpers import box_first_violation, box_verify_decomposition, verify_generator_lift
+from wblow.errors import (
+    EnumerationLimitError,
+    InternalConsistencyError,
+    InvalidInstanceError,
+    InvalidWeightsError,
+)
 from wblow.lifting import (
     CheckReport,
     chain_report,
@@ -141,14 +147,68 @@ class TestVerifyDecomposition:
                 in_lower = (d - inst.multiplier) <= 0 or (total - inst.lifted_weight) >= lower
                 assert in_top != in_lower
 
-    def test_degree_bound_only_enlarges(self):
-        inst = make_lift_instance((1, 2), 1, 1)
-        assert verify_decomposition(inst, 2, degree_bound=9).passed
+    def test_passes_where_the_nominal_box_was_refused(self, monkeypatch):
+        # the box at d = 9 held 58,064,573 points, over the default cap
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        inst = make_lift_instance((3, 5, 7), 1, 2)
+        for d in (9, 10, 11, 12, 1000):
+            assert verify_decomposition(inst, d).passed
+        assert verify_decomposition_range(inst, 12).passed
+
+    def test_sweep_charged_before_it_starts(self, monkeypatch):
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "1000")
+        inst = make_lift_instance((1, 2), 1, 1)  # appended weight 2
+        assert verify_decomposition_range(inst, 498).passed  # (2 + 498) * 2 steps
+        with pytest.raises(EnumerationLimitError, match="1002 enumeration steps"):
+            verify_decomposition_range(inst, 499)
+        with pytest.raises(EnumerationLimitError):
+            verify_decomposition_range(inst, 10**12)
 
     def test_report_invariant(self):
         inst = make_lift_instance((1, 1), 1, 1)
         with pytest.raises(InternalConsistencyError):
             CheckReport(inst, (1,), "fail", None)
+
+
+@st.composite
+def lift_cases(draw):
+    """(instance, d_max, d): section length 1-3, weights 1-12, multiplier 1-3,
+    the appended weight offset by delta in 1 - a*b .. 3 (so the appended
+    weight runs from 1 to a*b + 3), sweeps that start at d = 1 <= a."""
+    base = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    a = draw(st.integers(1, 3))
+    inst = make_lift_instance(base, draw(st.integers(1, 5)), a)
+    delta = draw(st.integers(1 - a * inst.base_lcm, 3))
+    if delta:
+        inst = mutated_instance(inst, delta)
+    d_max = draw(st.integers(1, a + 3))
+    return inst, d_max, draw(st.integers(1, d_max))
+
+
+def lift_case(base, a, delta, d_max, d):
+    inst = make_lift_instance(base, 1, a)
+    return (mutated_instance(inst, delta) if delta else inst), d_max, d
+
+
+class TestAgainstBoxEngine:
+    """The residue-table engine against the bitmask box engine it replaced."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(lift_cases())
+    @example(lift_case((2, 3), 1, 3, 4, 2))
+    @example(lift_case((2, 3), 2, -11, 4, 1))  # appended weight 1, |delta| > A
+    @example(lift_case((3, 5, 7), 2, 0, 12, 9))
+    @example(lift_case((1, 2), 1, 1, 6, 2))
+    def test_matches_box_engine(self, case):
+        inst, d_max, d = case
+        sweep = verify_decomposition_range(inst, d_max)
+        oracle = box_first_violation(inst, d_max)
+        assert sweep.status == ("pass" if oracle is None else "fail")
+        assert sweep.d_range == tuple(range(1, d_max + 1))
+        assert sweep.counterexample == oracle  # failing d, witness monomial, explanation
+        assert verify_decomposition(inst, d) == box_verify_decomposition(inst, d)
+        if inst.is_derived:
+            assert sweep.passed
 
 
 class TestVerifyGeneratorLift:
@@ -274,13 +334,13 @@ class TestChainReport:
         real = lifting_mod.verify_decomposition_range
         calls = {"n": 0}
 
-        def failing(inst, d_max, degree_bound=None):
+        def failing(inst, d_max):
             calls["n"] += 1
             if calls["n"] == 2:
                 from wblow.lifting import Violation
 
                 return CheckReport(inst, (1,), "fail", Violation(1, (0,) * inst.n, "injected"))
-            return real(inst, d_max, degree_bound)
+            return real(inst, d_max)
 
         monkeypatch.setattr(lifting_mod, "verify_decomposition_range", failing)
         report = lifting_mod.chain_report(start, (1, 1, 1), d_max=2)
