@@ -14,10 +14,9 @@ that table, so argv and batch entries are validated by the same code.
 
 The environment variable WBLOW_MAX_ENUM caps enumeration work (default 50
 million): grid points for ``fan``, n*ceil(k*m) steps for the count below a
-threshold, (n - 1 + number of degrees) * A residue-table steps for the
-lifting check with appended weight A (``lift-check``, ``chain``), and
-nominal box sizes (lattice points) elsewhere; exceeding the cap exits 1
-with a clear message.  Batch files are JSON lists of run
+threshold, residue-table steps for ``lift-check`` and ``chain``, and nominal
+box sizes (lattice points) elsewhere; exceeding the cap exits 1 with a
+clear message.  Batch files are JSON lists of run
 specifications; batch results are emitted in input order, a malformed entry
 yields an invalid-instance report for that entry alone, and the aggregate
 exit code is the maximum of the individual ones.

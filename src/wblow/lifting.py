@@ -195,8 +195,9 @@ def _violation(inst: LiftInstance, d: int, minima: tuple) -> Violation | None:
     ab = inst.multiplier * inst.step
     delta = a_n - ab
     db = d * inst.step
+    bound = db - min(ab, a_n)
     for w_prefix in minima:
-        if w_prefix >= db - min(ab, a_n):
+        if w_prefix >= bound:
             return None
         u = db - w_prefix
         first_top = ceil_div(u, a_n)
