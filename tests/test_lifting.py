@@ -174,7 +174,7 @@ class TestVerifyDecomposition:
 def lift_cases(draw):
     """(instance, d_max, d): section length 1-3, weights 1-12, multiplier 1-3,
     the appended weight offset by delta in 1 - a*b .. 3 (so the appended
-    weight runs from 1 to a*b + 3), sweeps that start at d = 1 <= a."""
+    weight runs from 1 to a*b + 3), sweeps from d = 1, so d <= a is covered."""
     base = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
     a = draw(st.integers(1, 3))
     inst = make_lift_instance(base, draw(st.integers(1, 5)), a)
