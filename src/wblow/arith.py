@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, EnumerationLimitError, InvalidWeightsError
@@ -69,6 +70,15 @@ def divides(s: ExpVec, t: ExpVec) -> bool:
     """True iff the monomial with exponents ``s`` divides the one with ``t``."""
     _same_length(s, t)
     return all(a <= b for a, b in zip(s, t))
+
+
+def minimalize(vectors) -> tuple:
+    """Divisibility-minimal elements of a finite set of same-length exponent vectors."""
+    out = []
+    for v in sorted(set(vectors), key=lambda e: (sum(e), e)):  # only earlier ones can divide v
+        if not any(all(map(le, u, v)) for u in out):
+            out.append(v)
+    return tuple(out)
 
 
 def vec_add(s: ExpVec, t: ExpVec) -> ExpVec:

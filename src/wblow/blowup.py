@@ -38,6 +38,7 @@ from .quotient import CyclicQuotientType, Polynomial, semi_invariant_class
 from .wideal import (
     WeightedIdeal,
     WeightSystem,
+    check_box_budget,
     ideal_generators,
     polynomial_weight,
     weight_numerator,
@@ -298,6 +299,7 @@ def pushforward_decomposition(
         a_max = math.ceil(multiplicity) + 1
     if a_max < 0:
         raise OutOfDomainError(f"a_max must be non-negative, got {a_max}")
+    check_box_budget(system.weights, a_max * system.m)  # the largest box, before any level
     records = tuple(
         PushforwardRecord(a, ideal_generators(system, Fraction(a))) for a in range(a_max + 1)
     )

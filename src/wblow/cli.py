@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -762,7 +763,13 @@ def main(argv=None) -> int:
         else:
             report = run(spec_from_args(args))
             rendered = report.to_json() if args.format == "json" else report.to_text()
-    print(rendered, file=sys.stderr if report.status == "error" else sys.stdout)
+    # a report with a result, a batch report included, is output; one without is an error
+    stream = sys.stderr if report.result is None else sys.stdout
+    try:
+        print(rendered, file=stream, flush=True)
+    except BrokenPipeError:  # the reader left early, as in `wblow ... | head`
+        with open(os.devnull, "w") as devnull:  # so the flush at exit cannot fail again
+            os.dup2(devnull.fileno(), stream.fileno())
     return report.exit_code
 
 

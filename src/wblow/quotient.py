@@ -4,8 +4,8 @@ A cyclic quotient of order m acts diagonally on affine n-space with integer
 weights taken mod m; its coordinate ring is the ring of invariant monomials.
 A hyperquotient is a hypersurface inside such a quotient, cut out by a
 semi-invariant equation.  This module holds those types, the semi-invariance
-check, exhaustive computation of the invariant-monomial Hilbert basis at desk
-scale, and the modular bookkeeping for lifting a quotient action through an
+check, the invariant-monomial Hilbert basis (enumerated up to the Davenport
+bound), and the modular bookkeeping for lifting a quotient action through an
 invariant-coordinate cover.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import ExpVec, check_enum_budget, expvec, vec_add
+from .arith import ExpVec, check_enum_budget, expvec, minimalize, vec_add
 from .errors import (
     DimensionError,
     InvalidInstanceError,
@@ -278,9 +278,11 @@ def semi_invariant_class(g: Polynomial, q: CyclicQuotientType) -> int:
 class MonoidBasis:
     """Hilbert basis of the invariant-exponent monoid, up to a degree bound.
 
-    ``complete`` is True when the bound provably captured the whole basis:
-    every basis element of this monoid has all entries at most m, hence total
-    degree at most n*m.
+    ``degree_bound`` echoes the bound asked for; ``complete`` is True when
+    bound >= n*m (x_i^m is invariant, so no basis entry exceeds m).  The
+    Davenport bound makes any bound >= m complete, but the golden reports and
+    the benchmark's basis check pin the n*m rule, so flipping it waits for a
+    change that updates them together.
     """
 
     generators: tuple
@@ -291,52 +293,32 @@ class MonoidBasis:
 def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBasis:
     """Minimal additive generators of {s in N^n : sum(s_i a_i) = 0 mod m}.
 
-    Exhaustive desk-scale enumeration: all candidate exponent vectors of
-    total degree <= degree_bound are generated, invariants kept, and an
-    element is a generator iff it is not the sum of two nonzero invariants.
-    Practical ceiling: the candidate count C(degree_bound + n, n) must stay
-    within the enumeration budget, which in practice means n <= 4.
+    A basis element is a minimal zero-sum sequence over Z/m, so its degree
+    is at most the Davenport constant D(Z/m) = m (Olson, *J. Number Theory*
+    1 (1969)); enumeration stops at min(degree_bound, m).  The basis is the
+    divisibility-minimal nonzero invariants, because the difference of two
+    invariants is invariant.  The budget charges C(min(degree_bound, m) + n, n)
+    candidates; the walk visits the first n - 1 entries and solves for the last.
     """
     if degree_bound < 1:
         raise InvalidInstanceError("degree bound must be at least 1")
-    n, m = q.n, q.m
-    check_enum_budget(math.comb(degree_bound + n, n), "invariant monoid enumeration")
-
-    elements = []
-    for total in range(1, degree_bound + 1):
-        for s in _compositions(total, n):
-            if sum(si * ai for si, ai in zip(s, q.weights)) % m == 0:
-                elements.append(s)
-    elem_set = set(elements)
-
-    generators = []
-    for s in elements:  # ascending total degree
-        if not _is_sum_of_two(s, elements, elem_set):
-            generators.append(s)
-    generators.sort(key=lambda e: (sum(e), e))
-    return MonoidBasis(tuple(generators), degree_bound >= n * m, degree_bound)
-
-
-def _compositions(total: int, n: int):
-    """All n-tuples of non-negative ints summing to total."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
-def _is_sum_of_two(s: ExpVec, elements: list, elem_set: set) -> bool:
-    half = sum(s) // 2
-    for u in elements:
-        if sum(u) > half:
-            break  # elements are sorted by total degree
-        if u != s and all(ui <= si for ui, si in zip(u, s)):
-            v = tuple(si - ui for si, ui in zip(s, u))
-            if any(v) and v in elem_set:
-                return True
-    return False
+    n, m, top = q.n, q.m, min(degree_bound, q.m)
+    check_enum_budget(math.comb(top + n, n), "invariant monoid enumeration")
+    prefixes = [((), 0, 0)]  # (head entries, their weight mod m, their degree)
+    for a in q.weights[:-1]:
+        prefixes = [(p + (s,), (r + s * a) % m, d + s)
+                    for p, r, d in prefixes for s in range(top - d + 1)]
+    # s * last = -r (mod m) iff g | r and s lies in one class mod m/g; the zero vector is skipped
+    last = q.weights[-1]
+    g = math.gcd(last, m)
+    step = m // g
+    inverse = pow(last // g, -1, step)
+    invariants = []
+    for p, r, d in prefixes:
+        if r % g == 0:
+            first = -(r // g) * inverse % step or (step if d == 0 else 0)
+            invariants.extend(p + (s,) for s in range(first, top - d + 1, step))
+    return MonoidBasis(minimalize(invariants), degree_bound >= n * m, degree_bound)
 
 
 @dataclass(frozen=True, slots=True)

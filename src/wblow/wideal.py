@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
 
-from .arith import ceil_div, check_enum_budget, divides, lcm_of, normalize_weights, vec_add
+from .arith import (
+    ceil_div, check_enum_budget, divides, lcm_of, minimalize, normalize_weights, vec_add,
+)
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -123,6 +125,14 @@ class WeightedIdeal:
         return any(all(map(le, g, s)) for g in self.gens)
 
 
+def check_box_budget(weights: tuple, t: int) -> None:
+    """Charge the nominal box prod(ceil(t / weights_i) + 1), which never shrinks as t grows."""
+    box = 1
+    for a in weights:
+        box *= ceil_div(t, a) + 1
+    check_enum_budget(box, "minimal generator enumeration")
+
+
 def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     """Minimal generators of {s : sum(s_i * weights_i) >= t} for an integer threshold.
 
@@ -136,10 +146,7 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     n = len(weights)
     if t <= 0:
         return ((0,) * n,)
-    box = 1
-    for a in weights:
-        box *= ceil_div(t, a) + 1
-    check_enum_budget(box, "minimal generator enumeration")
+    check_box_budget(weights, t)
 
     out = []
     s = [0] * n
@@ -206,16 +213,6 @@ def contains(ideal: WeightedIdeal, f: Polynomial) -> bool:
     return by_weight
 
 
-def _minimalize(vectors) -> tuple:
-    """Divisibility-minimal elements of a finite set of exponent vectors."""
-    vs = sorted(set(vectors), key=lambda e: (sum(e), e))
-    out = []
-    for v in vs:
-        if not any(divides(u, v) for u in out):
-            out.append(v)
-    return tuple(out)
-
-
 @dataclass(frozen=True, slots=True)
 class TruncationReport:
     """Comparison of the level-d*b ideal with the d-th power of the level-b ideal.
@@ -246,7 +243,7 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
         for v in combo[1:]:
             acc = vec_add(acc, v)
         sums.add(acc)
-    power = _minimalize(sums)
+    power = minimalize(sums)
 
     containment_ok = all(
         sum(si * ai for si, ai in zip(p, system.weights)) >= d * t_b for p in power

@@ -4,10 +4,11 @@ The oracles here deliberately use different algorithms from the library
 (full-box enumeration with pairwise divisibility minimalization, direct
 definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
-for the integer-numerator ones, and ``box_verify_decomposition`` is the former
+for the integer-numerator ones; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue-table
-one; ``invert_transform`` and ``verify_generator_lift`` are cross-checks that
-only tests use.
+one; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
+the reference for the Davenport-capped minimalization.  ``invert_transform``
+and ``verify_generator_lift`` are cross-checks that only tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import random
 from fractions import Fraction
 
+from wblow.arith import minimalize
 from wblow.blowup import TransformedEquation
 from wblow.errors import (
     DimensionError,
@@ -25,8 +27,8 @@ from wblow.errors import (
     UndefinedWeightError,
 )
 from wblow.lifting import CheckReport, LiftInstance, Violation
-from wblow.quotient import Polynomial
-from wblow.wideal import WeightSystem, _minimalize, minimal_generators_numerator
+from wblow.quotient import CyclicQuotientType, MonoidBasis, Polynomial
+from wblow.wideal import WeightSystem, minimal_generators_numerator
 
 
 def ceil_div(p, q):
@@ -80,6 +82,47 @@ def brute_monoid_basis(m, weights, bound):
         if not decomposable:
             basis.add(s)
     return basis
+
+
+def sum_of_two_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBasis:
+    """Oracle: the former library route to the invariant Hilbert basis.
+
+    Every invariant of total degree 1..degree_bound is enumerated (no
+    Davenport cap), and one is a generator iff it is not the sum of two
+    nonzero invariants, found by an O(E^2) scan over all of them.
+    """
+    n, m = q.n, q.m
+    elements = []
+    for total in range(1, degree_bound + 1):
+        for s in _compositions(total, n):
+            if sum(si * ai for si, ai in zip(s, q.weights)) % m == 0:
+                elements.append(s)
+    elem_set = set(elements)
+    generators = [s for s in elements if not _is_sum_of_two(s, elements, elem_set)]
+    generators.sort(key=lambda e: (sum(e), e))
+    return MonoidBasis(tuple(generators), degree_bound >= n * m, degree_bound)
+
+
+def _compositions(total: int, n: int):
+    """All n-tuples of non-negative ints summing to total."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            yield (first,) + rest
+
+
+def _is_sum_of_two(s, elements: list, elem_set: set) -> bool:
+    half = sum(s) // 2
+    for u in elements:
+        if sum(u) > half:
+            break  # elements are sorted by total degree
+        if u != s and all(ui <= si for ui, si in zip(u, s)):
+            v = tuple(si - ui for si, ui in zip(s, u))
+            if any(v) and v in elem_set:
+                return True
+    return False
 
 
 def random_weight_system(rng: random.Random, n_choices=(2, 3, 4), max_a=12, max_m=10):
@@ -339,7 +382,7 @@ def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
     lower_gens = minimal_generators_numerator(inst.weights, lower)
     shifted = [g[:-1] + (g[-1] + 1,) for g in lower_gens]
     embedded = [g + (0,) for g in minimal_generators_numerator(inst.base_weights, db)]
-    candidate = _minimalize(shifted + embedded)
+    candidate = minimalize(shifted + embedded)
 
     if set(top) == set(candidate):
         return CheckReport(inst, (d,), "pass", None)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -342,6 +344,82 @@ class TestMainEntry:
         jsonschema.validate(payload, REPORT_SCHEMA)
         assert payload["error"]["kind"] == "enumeration-limit"
         assert "200000004" in payload["error"]["message"]
+
+    def test_invariants_past_the_former_box_reports(self, capsys, monkeypatch):
+        # refused at C(244, 4) = 144,084,501 candidates before the Davenport cap
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        assert main(["invariants", "1/60(1,7,11,13)", "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["degree_bound"] == 240 and result["complete"] is True
+        assert max(sum(g) for g in result["basis"]) <= 60
+
+    def test_invariants_charge_the_capped_candidates(self, capsys, monkeypatch):
+        # C(min(240, 60) + 4, 4) = 635,376 candidates
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "635375")
+        assert main(["invariants", "1/60(1,7,11,13)", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"]["kind"] == "enumeration-limit"
+        assert "635376" in payload["error"]["message"]
+
+    def test_pushforward_levels_refused_before_any_is_built(self, capsys, monkeypatch):
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        argv = ["pushforward", "1/1(1,1)", "--f", "x1", "--a-max", "100000000", "--format", "json"]
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "enumeration-limit"
+
+    def test_batch_report_goes_to_stdout_once_the_file_was_read(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"command": "charts", "target": 5}]), encoding="utf-8")
+        assert main(["batch", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["status"] == "error"
+        assert payload["result"]["results"][0]["error"]["kind"] == "invalid-instance"
+        # an unreadable file yields no result, so its report is an error report
+        assert main(["batch", str(tmp_path / "missing.json"), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "batch-unreadable"
+
+    def test_broken_pipe_exits_with_the_report_code(self, monkeypatch):
+        read_end, write_end = os.pipe()
+
+        class ClosedReader:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return write_end
+
+        monkeypatch.setattr(sys, "stdout", ClosedReader())
+        try:
+            assert main(["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1",
+                         "--mutate", "1", "--format", "json"]) == 2
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_broken_pipe_in_a_process_leaves_no_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wblow", "lift-check", "--sigma-prime", "1,2",
+                 "--m", "1", "--a", "1", "--dmax", "4", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1

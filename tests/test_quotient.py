@@ -2,8 +2,9 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_monoid_basis
+from helpers import brute_monoid_basis, sum_of_two_monoid_basis
 from wblow.errors import (
     DimensionError,
     InvalidInstanceError,
@@ -26,6 +27,16 @@ from wblow.quotient import (
 
 def poly(nvars, terms):
     return Polynomial(nvars, {k: Fraction(v) for k, v in terms.items()})
+
+
+@st.composite
+def quotient_and_bound(draw):
+    """A type 1/m(a_1..a_n), n 1-3, m 1-12, residues 0..m-1, and a bound around m or n*m."""
+    m = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+    n = len(weights)
+    bound = draw(st.sampled_from([1, max(1, m - 1), m, m + 1, n * m, 2 * m]))
+    return CyclicQuotientType(m, tuple(weights)), bound
 
 
 class TestCyclicQuotientType:
@@ -120,6 +131,11 @@ class TestInvariantMonoidBasis:
         basis = invariant_monoid_basis(CyclicQuotientType(2, (1, 1)), 1)
         assert not basis.complete
         assert basis.generators == ()
+        # the basis of 1/3(1,1,1) is whole from bound m = 3, yet complete waits for n*m = 9
+        q = CyclicQuotientType(3, (1, 1, 1))
+        at_6, at_9 = invariant_monoid_basis(q, 6), invariant_monoid_basis(q, 9)
+        assert at_6.generators == at_9.generators
+        assert (at_6.complete, at_9.complete) == (False, True)
 
     def test_matches_oracle(self):
         rng = random.Random(23)
@@ -147,6 +163,14 @@ class TestInvariantMonoidBasis:
             q = CyclicQuotientType(rm, (1, -1))
             basis = invariant_monoid_basis(q, 2 * rm)
             assert set(basis.generators) == {(rm, 0), (0, rm), (1, 1)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(quotient_and_bound())
+    def test_whole_basis_matches_sum_of_two_oracle(self, case):
+        q, bound = case
+        basis = invariant_monoid_basis(q, bound)
+        assert basis == sum_of_two_monoid_basis(q, bound)
+        assert all(sum(g) <= q.m for g in basis.generators)  # the Davenport bound
 
 
 class TestBinomialRelation:
