@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import blowup, lifting, quotient, wideal
+from . import blowup, quotient, wideal  # lifting loads only in lift-check and chain
 from .errors import (
     BatchUnreadableError,
     InternalConsistencyError,
@@ -339,6 +339,8 @@ def _cmd_transform(spec: RunSpec):
 
 
 def _cmd_lift_check(spec: RunSpec):
+    from . import lifting
+
     base = _csv_ints(spec.parameters["sigma_prime"], "sigma-prime")
     inst = lifting.make_lift_instance(base, spec.parameters["m"], spec.parameters["a"])
     mutate = spec.parameters.get("mutate")
@@ -359,6 +361,8 @@ def _cmd_lift_check(spec: RunSpec):
 
 
 def _cmd_chain(spec: RunSpec):
+    from . import lifting
+
     start = parse_singularity(spec.target)
     if isinstance(start, quotient.CyclicQuotientType):
         start = quotient.HyperquotientType(start, quotient.Polynomial.zero(start.n), 0)

@@ -290,6 +290,13 @@ class MonoidBasis:
     degree_bound: int
 
 
+def _extend_heads(heads, a: int, m: int, top: int):
+    """Each head with one more entry of weight a, made lazily; a call binds a per level."""
+    for p, r, d in heads:
+        for s in range(top - d + 1):
+            yield p + (s,), (r + s * a) % m, d + s
+
+
 def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBasis:
     """Minimal additive generators of {s in N^n : sum(s_i a_i) = 0 mod m}.
 
@@ -304,17 +311,16 @@ def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBa
         raise InvalidInstanceError("degree bound must be at least 1")
     n, m, top = q.n, q.m, min(degree_bound, q.m)
     check_enum_budget(math.comb(top + n, n), "invariant monoid enumeration")
-    prefixes = [((), 0, 0)]  # (head entries, their weight mod m, their degree)
+    heads = [((), 0, 0)]  # (head entries, their weight mod m, their degree)
     for a in q.weights[:-1]:
-        prefixes = [(p + (s,), (r + s * a) % m, d + s)
-                    for p, r, d in prefixes for s in range(top - d + 1)]
+        heads = _extend_heads(heads, a, m, top)
     # s * last = -r (mod m) iff g | r and s lies in one class mod m/g; the zero vector is skipped
     last = q.weights[-1]
     g = math.gcd(last, m)
     step = m // g
     inverse = pow(last // g, -1, step)
     invariants = []
-    for p, r, d in prefixes:
+    for p, r, d in heads:
         if r % g == 0:
             first = -(r // g) * inverse % step or (step if d == 0 else 0)
             invariants.extend(p + (s,) for s in range(first, top - d + 1, step))

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
 
-from .arith import (
-    ceil_div, check_enum_budget, divides, lcm_of, minimalize, normalize_weights, vec_add,
-)
+from .arith import ceil_div, check_enum_budget, lcm_of, minimalize, normalize_weights
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -136,50 +134,56 @@ def check_box_budget(weights: tuple, t: int) -> None:
 def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     """Minimal generators of {s : sum(s_i * weights_i) >= t} for an integer threshold.
 
-    Box-bounded enumeration: every minimal generator satisfies
-    s_i <= ceil(t / weights_i), because one more step past that bound leaves
-    the decrement still over the threshold.  The walk below visits exactly
-    the staircase (prefixes of weight < t plus their first crossing), so its
-    cost is the size of the below-threshold region, and the budget check is
-    against the full box as documented.
+    The walk visits the staircase: every prefix of weight < t and its first
+    crossing of t, the only value of an entry that can end a minimal
+    generator.  It recurses over the first n - 2 entries, passing down the
+    prefix, its weight and the least weight at a nonzero entry; the last two
+    entries are one flat loop that solves the last entry's crossing inline.
+    A point s of weight W >= t is minimal iff W - min{a_i : s_i > 0} < t, an
+    O(1) test; at the first crossing of entry i, W - a_i < t already holds,
+    so only the entries before i are tested.  Generators come out sorted by
+    (weight, lex).  The budget still charges the nominal box, which never
+    shrinks as t grows.
     """
     n = len(weights)
     if t <= 0:
         return ((0,) * n,)
     check_box_budget(weights, t)
+    if n == 1:
+        return ((ceil_div(t, weights[0]),),)
+    a, b = weights[-2:]
+    out = []  # (weight, generator) pairs
 
-    out = []
-    s = [0] * n
-
-    def minimal_here(w: int, upto: int) -> bool:
-        return all(s[i] == 0 or w - weights[i] < t for i in range(upto + 1))
-
-    def descend(j: int, acc: int) -> None:
-        # invariant: acc == weight of s[0:j] and acc < t
-        a = weights[j]
-        if j == n - 1:
-            sj = ceil_div(t - acc, a)
-            s[j] = sj
-            if minimal_here(acc + sj * a, j):
-                out.append(tuple(s))
-            s[j] = 0
+    def walk(p: tuple, acc: int, low: int) -> None:
+        # acc = weight of the prefix p < t; low = least weight at a nonzero entry of p
+        j = len(p)
+        if j < n - 2:
+            c = weights[j]
+            walk(p + (0,), acc, low)
+            s, w = 1, acc + c
+            while w < t:
+                walk(p + (s,), w, min(low, c))
+                s, w = s + 1, w + c
+            if w - low < t:
+                out.append((w, p + (s,) + (0,) * (n - 1 - j)))
             return
-        sj = 0
-        w = acc
+        r = (t - acc - 1) // b + 1
+        if acc + r * b - low < t:
+            out.append((acc + r * b, p + (0, r)))
+        low_a = min(low, a)
+        s, w = 1, acc + a
         while w < t:
-            s[j] = sj
-            descend(j + 1, w)
-            sj += 1
-            w = acc + sj * a
-        # first crossing value of s_j: larger ones can never be minimal
-        s[j] = sj
-        if minimal_here(w, j):
-            out.append(tuple(s))
-        s[j] = 0
+            r = (t - w - 1) // b + 1
+            v = w + r * b
+            if v - low_a < t:
+                out.append((v, p + (s, r)))
+            s, w = s + 1, w + a
+        if w - low < t:
+            out.append((w, p + (s, 0)))
 
-    descend(0, 0)
-    out.sort(key=lambda e: (sum(si * ai for si, ai in zip(e, weights)), e))
-    return tuple(out)
+    walk((), 0, max(weights))  # max(weights) stands in for "no nonzero entry yet"
+    out.sort()
+    return tuple(g for _, g in out)
 
 
 def ideal_generators(system: WeightSystem, k) -> WeightedIdeal:
@@ -235,30 +239,24 @@ class TruncationReport:
 
 def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tuple:
     """Core comparison in numerator form; returns (trunc_gens, power_gens, equal, witness, ok)."""
-    base = minimal_generators_numerator(system.weights, t_b)
-    trunc = minimal_generators_numerator(system.weights, d * t_b)
-    sums = set()
-    for combo in itertools.combinations_with_replacement(base, d):
-        acc = combo[0]
-        for v in combo[1:]:
-            acc = vec_add(acc, v)
-        sums.add(acc)
-    power = minimalize(sums)
-
-    containment_ok = all(
-        sum(si * ai for si, ai in zip(p, system.weights)) >= d * t_b for p in power
+    weights, n = system.weights, system.n
+    base = minimal_generators_numerator(weights, t_b)
+    trunc = minimal_generators_numerator(weights, d * t_b)
+    if any(len(g) != n for g in base + trunc):  # once per call, not once per pair
+        raise DimensionError(f"generators do not all have length {n}")
+    power = minimalize(
+        tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(base, d)
     )
-    by_div = all(any(divides(g, p) for g in trunc) for p in power)
+
+    containment_ok = all(sum(map(mul, p, weights)) >= d * t_b for p in power)
+    by_div = all(any(all(map(le, g, p)) for g in trunc) for p in power)
     if containment_ok != by_div:
         raise InternalConsistencyError("containment routes disagree in power-vs-truncation")
 
     equal = set(trunc) == set(power)
     witness = None
     if not equal:
-        for g in trunc:
-            if not any(divides(p, g) for p in power):
-                witness = g
-                break
+        witness = next((g for g in trunc if not any(all(map(le, p, g)) for p in power)), None)
         if witness is None:
             raise InternalConsistencyError(
                 "ideals reported unequal but every truncation generator lies in the power"

@@ -7,8 +7,10 @@ oracles are the library's former ``Fraction`` routes, kept as the reference
 for the integer-numerator ones; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue-table
 one; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
-the reference for the Davenport-capped minimalization.  ``invert_transform``
-and ``verify_generator_lift`` are cross-checks that only tests use.
+the reference for the Davenport-capped minimalization; ``staircase_min_gens``
+is the former recursive generator walk, kept as the reference for the flat
+one.  ``invert_transform`` and ``verify_generator_lift`` are cross-checks
+that only tests use.
 """
 
 from __future__ import annotations
@@ -52,6 +54,51 @@ def brute_min_gens(weights, t):
         if not any(u != s and all(ui <= si for ui, si in zip(u, s)) for u in members):
             gens.add(s)
     return gens
+
+
+def staircase_min_gens(weights, t):
+    """Oracle: the former recursive walk of ``minimal_generators_numerator``.
+
+    It visits the same staircase as the library, but writes each point into
+    a shared list, tests minimality against every earlier entry and sorts by
+    a recomputed (weight, lex) key; the library's flat walk must return the
+    same tuple, order included.  No budget check.
+    """
+    n = len(weights)
+    if t <= 0:
+        return ((0,) * n,)
+    out = []
+    s = [0] * n
+
+    def minimal_here(w, upto):
+        return all(s[i] == 0 or w - weights[i] < t for i in range(upto + 1))
+
+    def descend(j, acc):
+        # invariant: acc == weight of s[0:j] and acc < t
+        a = weights[j]
+        if j == n - 1:
+            sj = ceil_div(t - acc, a)
+            s[j] = sj
+            if minimal_here(acc + sj * a, j):
+                out.append(tuple(s))
+            s[j] = 0
+            return
+        sj = 0
+        w = acc
+        while w < t:
+            s[j] = sj
+            descend(j + 1, w)
+            sj += 1
+            w = acc + sj * a
+        # first crossing value of s_j: larger ones can never be minimal
+        s[j] = sj
+        if minimal_here(w, j):
+            out.append(tuple(s))
+        s[j] = 0
+
+    descend(0, 0)
+    out.sort(key=lambda e: (sum(si * ai for si, ai in zip(e, weights)), e))
+    return tuple(out)
 
 
 def brute_upset_in_box(weights, threshold_num, m, caps):

@@ -304,6 +304,19 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["check"]["status"] == "pass"
 
+    def test_ideal_command_does_not_load_lifting(self):
+        # -X importtime lists every module the process imports on stderr
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "wblow", "ideal", "1/5(1,2,3)",
+             "--k", "2", "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["command"] == "ideal"
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "wblow.wideal" in imported
+        assert "wblow.lifting" not in imported
+
     def test_fan_grid_without_sample_points_exits_1(self, capsys):
         assert main(["fan", "1/1(1,2)", "--grid", "-1", "--format", "json"]) == 1
         captured = capsys.readouterr()

@@ -7,7 +7,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_min_gens, brute_upset_in_box, ceil_div
+import wblow.wideal as wideal_mod
+from helpers import brute_min_gens, brute_upset_in_box, ceil_div, staircase_min_gens
 from wblow.errors import DimensionError, InternalConsistencyError, InvalidInstanceError, InvalidWeightsError, UndefinedWeightError
 from wblow.quotient import Polynomial
 from wblow.wideal import (
@@ -102,6 +103,18 @@ class TestPolynomialWeight:
             ) + polynomial_weight(g, system)
 
 
+@st.composite
+def staircase_case(draw):
+    # t up to 200, capped so the first n - 1 entries span at most 5,000
+    # points: that box bounds the staircase both walks visit
+    n = draw(st.integers(1, 5))
+    weights = tuple(draw(st.integers(1, 12)) for _ in range(n))
+    t_max = 200
+    while t_max > 0 and math.prod(t_max // a + 1 for a in weights[:-1]) > 5000:
+        t_max -= 1
+    return weights, draw(st.integers(-2, t_max))
+
+
 class TestIdealGenerators:
     def test_square_of_maximal_ideal(self):
         ideal = ideal_generators(WeightSystem((1, 1), 1), 2)
@@ -139,6 +152,29 @@ class TestIdealGenerators:
                     break
             t = rng.randint(1, 18)
             assert set(minimal_generators_numerator(weights, t)) == brute_min_gens(weights, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(staircase_case())
+    def test_flat_walk_matches_recursive_oracle(self, case):
+        weights, t = case
+        assert minimal_generators_numerator(weights, t) == staircase_min_gens(weights, t)
+
+    @pytest.mark.parametrize(
+        "weights, t, gens",
+        [
+            ((3,), 7, ((3,),)),  # n = 1: the one crossing
+            ((5,), 10, ((2,),)),
+            ((2, 3, 5), 0, ((0, 0, 0),)),  # t <= 0: the unit ideal
+            ((2, 3, 5), -2, ((0, 0, 0),)),
+            ((4, 6, 9), 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),  # t below every weight
+            ((1, 3), 5, ((2, 1), (5, 0), (0, 2))),  # a weight 1, and lex order at equal weight
+            ((1, 1, 2), 2, ((0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))),
+        ],
+    )
+    def test_explicit_cases(self, weights, t, gens):
+        assert minimal_generators_numerator(weights, t) == gens
+        assert gens == staircase_min_gens(weights, t)
+        assert set(gens) == brute_min_gens(weights, t)
 
     def test_generated_set_matches_definition(self):
         system = WeightSystem((2, 5), 3)
@@ -257,6 +293,16 @@ class TestProductVsTruncation:
         assert witness == (1, 0)  # first truncation generator in (weight, lex) order
         assert witness in trunc
         assert not any(all(pi <= wi for pi, wi in zip(p, witness)) for p in power)
+
+    def test_generator_of_wrong_length_raises(self, monkeypatch):
+        # lengths are checked once per call, not per pair in the inner loops
+        def short_last(weights, t):
+            gens = minimal_generators_numerator(weights, t)
+            return gens[:-1] + (gens[-1][:-1],)
+
+        monkeypatch.setattr(wideal_mod, "minimal_generators_numerator", short_last)
+        with pytest.raises(DimensionError, match="length"):
+            _compare_power_vs_truncation(WeightSystem((2, 3), 1), 6, 2)
 
 
 class TestFindStableB:
