@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 from .arith import check_enum_budget
 from .errors import (
@@ -227,9 +227,10 @@ def _check_nvars(f: Polynomial, ch: Chart) -> None:
         raise DimensionError(f"exponent length {f.nvars} does not match chart dimension {n}")
 
 
-def _exponents(numerators, m: int) -> tuple:
-    """Report form of exponent numerators over m: an int when m divides it, else a Fraction."""
-    return tuple(v // m if v % m == 0 else Fraction(v, m) for v in numerators)
+def _over(v: int, m: int):
+    """Report form of an exponent numerator over m: an int when m divides it, else a Fraction."""
+    q, r = divmod(v, m)
+    return Fraction(v, m) if r else q
 
 
 def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int) -> Fraction:
@@ -337,8 +338,10 @@ def strict_transform_in_chart(
     Each monomial acquires chart-coordinate exponent equal to its weight;
     dividing by the minimal one leaves the residual equation of the strict
     transform, whose restriction to the divisor is read off by keeping the
-    exponent-zero terms.  The work is done on numerators over m, whose
-    lexicographic order is that of the exponents since m > 0.
+    exponent-zero terms.  Row j of the chart map is m e_j off column i, so
+    only column i is substituted: every other exponent stays the integer s_j,
+    and the chart-coordinate entry is kept as its numerator over m until the
+    report.  Since m > 0 the order of these keys is that of the exponents.
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
@@ -346,23 +349,17 @@ def strict_transform_in_chart(
     _check_nvars(g, ch)
     i0 = chart_index - 1
     m = ch.m
-    columns = tuple(zip(*ch.numerators))
-    substituted = {}
-    for s, c in g.items():
-        e = tuple(sum(map(mul, s, col)) for col in columns)
-        if e in substituted:
+    column = [row[i0] for row in ch.numerators]
+    keyed = sorted((s[:i0] + (sum(map(mul, s, column)),) + s[i0 + 1 :], c) for s, c in g.items())
+    for (e, _), (f, _) in zip(keyed, keyed[1:]):
+        if e == f:
             raise InternalConsistencyError(
-                f"chart map collided two monomials at {_exponents(e, m)}"
+                f"chart map collided two monomials at {e[:i0] + (_over(e[i0], m),) + e[i0 + 1 :]}"
             )
-        substituted[e] = c
-    w_min = min(e[i0] for e in substituted)
-    residual = sorted(
-        ((e[:i0] + (e[i0] - w_min,) + e[i0 + 1 :], c) for e, c in substituted.items()),
-        key=itemgetter(0),
-    )
-    if min(e[i0] for e, _ in residual) != 0:
+    w_min = min(e[i0] for e, _ in keyed)
+    terms = tuple((e[:i0] + (_over(e[i0] - w_min, m),) + e[i0 + 1 :], c) for e, c in keyed)
+    if min(e[i0] for e, _ in terms) != 0:
         raise InternalConsistencyError("residual does not reach chart-coordinate exponent 0")
-    terms = tuple((_exponents(e, m), c) for e, c in residual)
     return TransformedEquation(chart_index, Fraction(w_min, m), terms)
 
 

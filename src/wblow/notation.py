@@ -10,17 +10,29 @@ Grammar (whitespace-insensitive):
                       terms; * between factors is optional
     rational          p/q or a bare integer
 
+Every number in the grammar (orders, weights, coefficients, indices, powers)
+is spelled with the ASCII digits 0-9; any other character is a parse error.
 Parse errors carry a 1-based character position.  Weights may be negative in
 quotient notation and are reduced mod m by the type constructors.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import NotationError
 from .quotient import CyclicQuotientType, HyperquotientType, Polynomial
 from .wideal import WeightSystem
+
+_DIGITS = re.compile(r"[0-9]+")
+# One factor: an optional '*', then 'x', its index token (group 1: a digit
+# 1-9 in group 2, or braced digits in group 3) and an optional power (group 4).
+_FACTOR = re.compile(r"\s*\*?\s*x\s*(([1-9])|\{\s*([0-9]+)\s*\})(?:\s*\^\s*([0-9]+))?")
+# One term from its first non-space character: sign (group 1), coefficient
+# (group 2), the span of its factors (group 3), then one optional '*' and the
+# whitespace before the next term.
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)((?:%s)*)(?:\s*\*)?\s*" % _FACTOR.pattern)
 
 
 class _Scanner:
@@ -59,13 +71,12 @@ class _Scanner:
 
     def take_unsigned(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            found = repr(self.text[start]) if start < len(self.text) else "end of input"
-            self.error(f"expected an integer, found {found}", at=start)
-        return int(self.text[start : self.pos])
+        digits = _DIGITS.match(self.text, self.pos)
+        if digits is None:
+            found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
+            self.error(f"expected an integer, found {found}")
+        self.pos = digits.end()
+        return int(digits.group())
 
     def take_signed(self) -> int:
         sign = 1
@@ -127,61 +138,52 @@ def parse_weight_system(text: str) -> WeightSystem:
 
 
 def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
-    """Parse a polynomial in variables x1..x{nvars} with integer coefficients."""
+    """Parse a polynomial in variables x1..x{nvars} with integer coefficients.
+
+    The body is read one term at a time: a term match gives the sign, the
+    coefficient and the span of the factors, and each factor is checked
+    (index in range, then a positive power) in order.  Where a term stops
+    short of '+', '-' or the end, the scanner names what it expected there.
+    """
     sc = _Scanner(text, offset=offset)
-    terms: dict = {}
     if sc.at_end():
         sc.error("empty polynomial")
-
-    first = True
-    while not sc.at_end():
-        sign = 1
-        ch = sc.peek()
-        if ch in "+-":
-            sc.pos += 1
-            sign = -1 if ch == "-" else 1
-        elif not first:
-            sc.error(f"expected '+' or '-' between terms, found {ch!r}")
-        first = False
-
-        coeff = 1
-        has_body = False
-        if sc.peek().isdigit():
-            coeff = sc.take_unsigned()
-            has_body = True
+    terms: dict = {}
+    pos, end = sc.pos, len(text)
+    while pos < end:
+        term = _TERM.match(text, pos)
+        sign, digits = term.group(1, 2)
         exponents = [0] * nvars
-        while True:
-            if sc.peek() == "*":
-                sc.pos += 1
-            if sc.peek() != "x":
-                break
-            sc.pos += 1
-            ch = sc.peek()
-            if ch == "{":
-                sc.pos += 1
-                idx = sc.take_unsigned()
-                sc.expect("}")
-            elif ch.isdigit() and ch != "0":
-                sc.pos += 1
-                idx = int(ch)
-            else:
-                sc.error("expected a variable index after 'x'")
+        factor = None
+        for factor in _FACTOR.finditer(text, *term.span(3)):
+            _, digit, braced, power = factor.groups()
+            idx = int(digit or braced)
             if not 1 <= idx <= nvars:
-                sc.error(f"variable x{idx} is out of range for {nvars} variables")
-            power = 1
-            if sc.peek() == "^":
-                sc.pos += 1
-                power = sc.take_unsigned()
-                if power < 1:
-                    sc.error("exponents must be positive")
+                sc.error(f"variable x{idx} is out of range for {nvars} variables", factor.end(1))
+            power = 1 if power is None else int(power)
+            if power < 1:
+                sc.error("exponents must be positive", factor.end(4))
             exponents[idx - 1] += power
-            has_body = True
-        if not has_body:
-            sc.error("expected a coefficient or a variable")
+        pos = sc.pos = term.end()
+        ch = text[pos] if pos < end else ""  # "" at the end, which `in "+-"` accepts
+        if ch not in "+-" or not (digits or factor):
+            if ch == "x":  # no valid index follows: take_unsigned or expect raises
+                sc.pos += 1
+                if sc.peek() == "{":
+                    sc.pos += 1
+                    sc.take_unsigned()
+                    sc.expect("}")
+                sc.error("expected a variable index after 'x'")
+            if ch == "^" and factor and factor[4] is None and "*" not in text[factor.end() : pos]:
+                sc.pos += 1
+                sc.take_unsigned()  # raises: the power after this factor is missing
+            if not (digits or factor):
+                sc.error("expected a coefficient or a variable")
+            sc.error(f"expected '+' or '-' between terms, found {ch!r}")
+        coeff = int(digits) if digits else 1
         key = tuple(exponents)
-        terms[key] = terms.get(key, 0) + sign * coeff
-
-    return Polynomial(nvars, {k: Fraction(v) for k, v in terms.items() if v != 0})
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+    return Polynomial(nvars, terms)
 
 
 def parse_rational(text: str) -> Fraction:

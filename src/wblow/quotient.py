@@ -12,9 +12,9 @@ invariant-coordinate cover.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .arith import ExpVec, check_enum_budget, expvec, minimalize, vec_add
 from .errors import (
@@ -48,13 +48,10 @@ class Polynomial:
             e = expvec(exp)
             if len(e) != nvars:
                 raise DimensionError(f"exponent {e} has length {len(e)}, expected {nvars}")
-            c = acc.get(e, Fraction(0)) + Fraction(coeff)
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", {e: acc[e] for e in sorted(acc)})
+        object.__setattr__(self, "_terms", dict(sorted((e, c) for e, c in acc.items() if c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -77,8 +74,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exp: ExpVec, coeff=1) -> "Polynomial":
-        e = expvec(exp)
-        return cls(len(e), {e: Fraction(coeff)})
+        e = tuple(exp)  # validated once, by the constructor
+        return cls(len(e), {e: coeff})
 
     @property
     def terms(self) -> dict:

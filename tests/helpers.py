@@ -9,8 +9,10 @@ box engine of the lifting check, kept as the reference for the residue-table
 one; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
 the reference for the Davenport-capped minimalization; ``staircase_min_gens``
 is the former recursive generator walk, kept as the reference for the flat
-one.  ``invert_transform`` and ``verify_generator_lift`` are cross-checks
-that only tests use.
+one; ``scanner_parse_polynomial`` is the former character-by-character
+polynomial parser, kept as the reference for the term-at-a-time one.
+``invert_transform`` and ``verify_generator_lift`` are cross-checks that
+only tests use.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from wblow.errors import (
     UndefinedWeightError,
 )
 from wblow.lifting import CheckReport, LiftInstance, Violation
+from wblow.notation import _Scanner
 from wblow.quotient import CyclicQuotientType, MonoidBasis, Polynomial
 from wblow.wideal import WeightSystem, minimal_generators_numerator
 
@@ -99,6 +102,69 @@ def staircase_min_gens(weights, t):
     descend(0, 0)
     out.sort(key=lambda e: (sum(si * ai for si, ai in zip(e, weights)), e))
     return tuple(out)
+
+
+def scanner_parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
+    """Oracle: the former parser of ``notation.parse_polynomial``.
+
+    It reads the body one character at a time with the notation scanner;
+    on ASCII input the library must return the same polynomial or raise
+    ``NotationError`` with the same message and position.
+    """
+    sc = _Scanner(text, offset=offset)
+    terms: dict = {}
+    if sc.at_end():
+        sc.error("empty polynomial")
+
+    first = True
+    while not sc.at_end():
+        sign = 1
+        ch = sc.peek()
+        if ch in "+-":
+            sc.pos += 1
+            sign = -1 if ch == "-" else 1
+        elif not first:
+            sc.error(f"expected '+' or '-' between terms, found {ch!r}")
+        first = False
+
+        coeff = 1
+        has_body = False
+        if sc.peek().isdigit():
+            coeff = sc.take_unsigned()
+            has_body = True
+        exponents = [0] * nvars
+        while True:
+            if sc.peek() == "*":
+                sc.pos += 1
+            if sc.peek() != "x":
+                break
+            sc.pos += 1
+            ch = sc.peek()
+            if ch == "{":
+                sc.pos += 1
+                idx = sc.take_unsigned()
+                sc.expect("}")
+            elif ch.isdigit() and ch != "0":
+                sc.pos += 1
+                idx = int(ch)
+            else:
+                sc.error("expected a variable index after 'x'")
+            if not 1 <= idx <= nvars:
+                sc.error(f"variable x{idx} is out of range for {nvars} variables")
+            power = 1
+            if sc.peek() == "^":
+                sc.pos += 1
+                power = sc.take_unsigned()
+                if power < 1:
+                    sc.error("exponents must be positive")
+            exponents[idx - 1] += power
+            has_body = True
+        if not has_body:
+            sc.error("expected a coefficient or a variable")
+        key = tuple(exponents)
+        terms[key] = terms.get(key, 0) + sign * coeff
+
+    return Polynomial(nvars, {k: Fraction(v) for k, v in terms.items() if v != 0})
 
 
 def brute_upset_in_box(weights, threshold_num, m, caps):

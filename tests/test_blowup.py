@@ -31,6 +31,7 @@ from wblow.blowup import (
 )
 from wblow.errors import (
     DimensionError,
+    InternalConsistencyError,
     InvalidInstanceError,
     NotSemiInvariantError,
     OutOfDomainError,
@@ -337,6 +338,25 @@ class TestStrictTransform:
             i0 = i - 1
             assert min(Fraction(e[i0]) for e, _ in teq.terms) == 0
             assert invert_transform(teq, system) == f
+
+    def test_fractional_exponent_only_in_the_chart_coordinate(self):
+        g = poly(3, {(1, 0, 1): 1, (0, 2, 0): -1})
+        teq = strict_transform_in_chart(g, WeightSystem((1, 1, 2), 3), 2)
+        assert teq.factored_exponent == Fraction(2, 3)
+        types = [tuple(map(type, e)) for e, _ in teq.terms]
+        assert types == [(int, int, int), (int, Fraction, int)]
+        assert teq.terms == (((0, 0, 0), Fraction(-1)), ((1, Fraction(1, 3), 1), Fraction(1)))
+
+    def test_collision_in_a_corrupted_chart_raises(self, monkeypatch):
+        import wblow.blowup as blowup_mod
+
+        system = WeightSystem((1, 1), 1)
+        good = chart(system, 1)
+        # column 1 no longer sees x1, so x1 and x1^2 land on one exponent
+        bad = dataclasses.replace(good, numerators=((0, 0), (1, 1)))
+        monkeypatch.setattr(blowup_mod, "chart", lambda sys_, i: bad)
+        with pytest.raises(InternalConsistencyError, match=r"collided two monomials at \(0, 0\)"):
+            strict_transform_in_chart(poly(2, {(1, 0): 1, (2, 0): 1}), system, 1)
 
 
 class TestExceptionalInfo:

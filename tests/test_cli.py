@@ -222,6 +222,22 @@ class TestBatch:
     def test_non_string_command_is_one_entry_error(self, tmp_path):
         self._only_bad_entry_fails(tmp_path, {"command": ["charts"], "target": "1/1(1,2)"})
 
+    def test_non_ascii_digits_are_entry_parse_errors(self, tmp_path, capsys):
+        good = {"command": "ideal", "target": "1/1(2,3)", "parameters": {"k": "6"}}
+        entries = [
+            good,
+            {"command": "charts", "target": "1/\u00b2(1,2)"},
+            {"command": "wt", "target": "1/1(1,2)", "parameters": {"poly": "x\u00b2"}},
+            good,
+        ]
+        assert main(["batch", self._write(tmp_path, entries), "--format", "json"]) == 1
+        results = json.loads(capsys.readouterr().out)["result"]["results"]
+        assert [r["status"] for r in results] == ["ok", "error", "error", "ok"]
+        assert [(r["error"]["kind"], r["error"]["position"]) for r in results[1:3]] == [
+            ("parse-error", 3),
+            ("parse-error", 2),
+        ]
+
 
 class TestExternalInterfaces:
     def test_enumeration_cap_env_var(self, monkeypatch):
@@ -433,6 +449,25 @@ class TestMainEntry:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv, message, position",
+        [
+            (["charts", "1/\u00b2(1,2)"], "expected an integer, found '\u00b2'", 3),
+            (["wt", "1/1(1,2)", "--poly", "x\u00b2"], "expected a variable index after 'x'", 2),
+        ],
+        ids=["order", "variable-index"],
+    )
+    def test_non_ascii_digit_exits_1_with_parse_report(self, capsys, argv, message, position):
+        assert main([*argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {
+            "kind": "parse-error",
+            "message": f"{message} (position {position})",
+            "position": position,
+        }
 
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1

@@ -2,7 +2,9 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import scanner_parse_polynomial
 from wblow.errors import InvalidWeightsError, NotationError, NotSemiInvariantError
 from wblow.notation import (
     format_rational,
@@ -101,6 +103,75 @@ class TestParsePolynomial:
 
     def test_cancellation(self):
         assert parse_polynomial("x1-x1", nvars=1).is_zero
+
+
+# Tokens of the ASCII grammar and some near misses, so that drawn bodies are
+# often valid and otherwise fail at every kind of place.
+_TOKENS = ["x", "x1", "x2", "x9", "x0", "x{", "x{12}", "{", "}", "^", "^2", "^0", "*",
+           "+", "-", "3", "10", "0", " ", "\t"]
+_ALPHABET = "x0123456789{}^*+- \t"
+
+
+def _outcome(parse, text, nvars, offset):
+    try:
+        return parse(text, nvars, offset)
+    except NotationError as exc:
+        return str(exc), exc.position
+
+
+class TestAgainstScannerParser:
+    """The term-at-a-time parser against the character scanner it replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            st.text(_ALPHABET, max_size=24),
+            st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+        ),
+        st.integers(1, 12),
+        st.integers(1, 40),
+    )
+    @example("2*x1^2*x2-x2^3+5", 2, 7)
+    @example("x1^ x2", 2, 3)  # a power without digits
+    @example("x1*^2", 2, 3)  # '^' after '*' is no power
+    @example("x1^2^3", 2, 3)
+    @example("x{ 1 0 }", 12, 3)
+    @example("3 x 1 ^ 2 - * x2", 2, 1)
+    @example("- 2 x1 +\t10", 2, 5)  # whitespace after a sign
+    @example("x5^0x", 4, 2)  # the range check comes first
+    def test_same_polynomial_or_same_error(self, text, nvars, offset):
+        expected = _outcome(scanner_parse_polynomial, text, nvars, offset)
+        assert _outcome(parse_polynomial, text, nvars, offset) == expected
+
+
+class TestAsciiDigits:
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x\u00b2", "expected a variable index after 'x'", 2),
+            ("x\u0663", "expected a variable index after 'x'", 2),  # Arabic-Indic 3
+            ("\u0663x1", "expected a coefficient or a variable", 1),
+            ("x1^\u00b2", "expected an integer, found '\u00b2'", 4),
+            ("x{\u0661}", "expected an integer, found '\u0661'", 3),
+        ],
+    )
+    def test_polynomial_numbers_are_ascii(self, text, message, position):
+        with pytest.raises(NotationError) as exc:
+            parse_polynomial(text, nvars=2)
+        assert str(exc.value) == f"{message} (position {position})"
+
+    @pytest.mark.parametrize(
+        "text, position", [("1/\u00b2(1,2)", 3), ("1/1(1,\u0663)", 7), ("1/\uff11(1,2)", 3)]
+    )
+    def test_head_numbers_are_ascii(self, text, position):
+        with pytest.raises(NotationError) as exc:
+            parse_weight_system(text)
+        found = repr(text[position - 1])
+        assert str(exc.value) == f"expected an integer, found {found} (position {position})"
+
+    def test_rational_numbers_are_ascii(self):
+        with pytest.raises(NotationError):
+            parse_rational("\u0663/4")
 
 
 class TestRationals:

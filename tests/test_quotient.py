@@ -8,6 +8,7 @@ from helpers import brute_monoid_basis, sum_of_two_monoid_basis
 from wblow.errors import (
     DimensionError,
     InvalidInstanceError,
+    InvalidWeightsError,
     NotSemiInvariantError,
     UndefinedWeightError,
     UnsupportedShapeError,
@@ -76,6 +77,41 @@ class TestPolynomial:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             poly(2, {(1, 0): 1}) + poly(3, {(1, 0, 0): 1})
+
+    def test_repeated_exponent_sums(self):
+        p = Polynomial(2, [((1, 0), 2), ((0, 1), 1), ((1, 0), Fraction(1, 2))])
+        assert p.terms == {(0, 1): Fraction(1), (1, 0): Fraction(5, 2)}
+
+    def test_repeated_exponent_cancels(self):
+        p = Polynomial(2, [((1, 1), 3), ((1, 1), -3)])
+        assert p.is_zero and p.terms == {} and p == Polynomial.zero(2)
+        assert Polynomial(1, {(2,): 0}).is_zero
+
+    def test_int_and_fraction_coefficients_agree(self):
+        by_int = Polynomial(2, {(2, 0): 3, (0, 1): -1})
+        by_fraction = Polynomial(2, {(2, 0): Fraction(3), (0, 1): Fraction(-1)})
+        assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+        assert all(type(c) is Fraction for _, c in by_int.items())
+        assert Polynomial.monomial((1, 2), 4) == Polynomial(2, {(1, 2): Fraction(4)})
+
+    def test_terms_in_lexicographic_order(self):
+        p = Polynomial(3, {(0, 0, 5): 1, (2, 0, 0): 1, (0, 3, 0): 1, (2, 0, 1): 1})
+        assert p.support() == ((0, 0, 5), (0, 3, 0), (2, 0, 0), (2, 0, 1))
+        assert list(p.terms) == list(p.support())
+
+    def test_constructor_messages(self):
+        with pytest.raises(DimensionError, match=r"^nvars must be a positive integer, got 0$"):
+            Polynomial(0, {})
+        with pytest.raises(DimensionError, match=r"^exponent \(1, 0\) has length 2, expected 3$"):
+            Polynomial(3, {(1, 0): 1})
+        with pytest.raises(
+            InvalidWeightsError, match=r"^exponent entries must be non-negative integers, got -1$"
+        ):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(
+            InvalidWeightsError, match=r"^exponent entries must be non-negative integers, got True$"
+        ):
+            Polynomial.monomial((True, 0))
 
 
 class TestSemiInvariantClass:
