@@ -16,10 +16,8 @@ from .errors import DimensionError, EnumerationLimitError, InvalidWeightsError
 
 ExpVec = tuple  # tuple[int, ...]; alias kept abstract for 3.10 readability
 
-#: Default cap on enumeration work: grid points for the fan check,
-#: n*ceil(k*m) steps for count_below, residue-table steps and per-degree
-#: scans for the lifting check, nominal box sizes (lattice points)
-#: elsewhere; override with the WBLOW_MAX_ENUM environment variable.
+#: Default cap on enumeration work; override with the WBLOW_MAX_ENUM environment
+#: variable.  The budget paragraph of README.md lists what each enumeration costs.
 DEFAULT_MAX_ENUM = 50_000_000
 
 

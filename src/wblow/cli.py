@@ -7,19 +7,19 @@ order, rationals as "p/q" strings, schema_version pinned).  Exit codes:
 2 verification failure (a checker reported fail), 3 internal-consistency
 failure.
 
-Every command is defined once, in ``COMMANDS``: its handler, whether it
-takes a target, its help line and its parameters.  The argparse subparsers,
-``validate_spec``, dispatch and ``spec_from_args`` are all generated from
-that table, so argv and batch entries are validated by the same code.
+Every command is defined once, in ``COMMANDS``: its handler, its target
+reader (None if it takes no target), its help line and its parameters with
+their defaults.  The argparse subparsers, ``validate_spec``, target parsing,
+defaults, dispatch and ``spec_from_args`` all come from that table, so argv
+and batch entries are validated by the same code.
 
 The environment variable WBLOW_MAX_ENUM caps enumeration work (default 50
-million): grid points for ``fan``, n*ceil(k*m) steps for the count below a
-threshold, residue-table steps for ``lift-check`` and ``chain``, and nominal
-box sizes (lattice points) elsewhere; exceeding the cap exits 1 with a
-clear message.  Batch files are JSON lists of run
-specifications; batch results are emitted in input order, a malformed entry
-yields an invalid-instance report for that entry alone, and the aggregate
-exit code is the maximum of the individual ones.
+million; the budget paragraph of README.md lists what each enumeration is
+charged); exceeding the cap exits 1 with an enumeration-limit report.  Batch
+files are JSON lists of run specifications; batch results are emitted in
+input order, a malformed entry yields an invalid-instance report for that
+entry alone, and the aggregate exit code is the maximum of the individual
+ones.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -94,7 +95,6 @@ class RunSpec:
     command: str
     target: str | None
     parameters: dict
-    output_format: str = "text"
 
 
 @dataclass
@@ -200,37 +200,38 @@ def _instance_dict(inst: lifting.LiftInstance) -> dict:
 
 
 def _check_dict(report: lifting.CheckReport) -> dict:
-    payload = {
-        "d_range": [int(d) for d in report.d_range],
-        "status": report.status,
-        "counterexample": None,
+    v = report.counterexample
+    witness = None if v is None else {
+        "d": v.d, "monomial": _vec(v.monomial), "explanation": v.explanation
     }
-    if report.counterexample is not None:
-        v = report.counterexample
-        payload["counterexample"] = {
-            "d": v.d,
-            "monomial": _vec(v.monomial),
-            "explanation": v.explanation,
-        }
-    return payload
+    return {"d_range": _vec(report.d_range), "status": report.status, "counterexample": witness}
+
+
+def integer(text: str) -> int:
+    """An integer as the notation spells it, [+-]?[0-9]+, with spaces around allowed."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _csv_ints(text: str, what: str) -> tuple:
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        return tuple(integer(part) for part in text.split(","))
     except ValueError:
         raise InvalidInstanceError(f"{what} must be comma-separated integers, got {text!r}")
 
 
+def _relation_dict(rel: quotient.BinomialRelation) -> dict:
+    return {"basis": [_vec(v) for v in rel.basis], "exponents": _vec(rel.exponents)}
+
+
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (result, provenance, verification_ok)
+# Command handlers: each takes the parsed target (None if the command has none) and
+# the parameters over the table's defaults, and returns (result, provenance, verification_ok)
 
 
-def _cmd_charts(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    indices = [spec.parameters["chart"]] if "chart" in spec.parameters else list(
-        range(1, system.n + 1)
-    )
+def _cmd_charts(system: wideal.WeightSystem, params: dict):
+    indices = [params["chart"]] if params["chart"] is not None else range(1, system.n + 1)
     fan = blowup.build_fan(system)
     charts = []
     for i in indices:
@@ -248,15 +249,11 @@ def _cmd_charts(spec: RunSpec):
     return result, ["charts and cone indices computed exactly from the weight data"], True
 
 
-def _cmd_fan(spec: RunSpec):
-    system = parse_weight_system(spec.target)
+def _cmd_fan(system: wideal.WeightSystem, params: dict):
     fan = blowup.build_fan(system)
-    grid = spec.parameters.get("grid", blowup.SUBDIVISION_GRID)
-    ok = blowup.fan_is_subdivision(fan, grid)
-    if not ok:
-        raise InternalConsistencyError(
-            "the constructed fan failed its own subdivision check"
-        )
+    grid = params["grid"]
+    if not blowup.fan_is_subdivision(fan, grid):
+        raise InternalConsistencyError("the constructed fan failed its own subdivision check")
     result = {
         "system": _system_dict(system),
         "rays": [_fracvec(ray) for ray in fan.rays],
@@ -267,9 +264,8 @@ def _cmd_fan(spec: RunSpec):
     return result, ["subdivision verified on the deterministic sample grid"], True
 
 
-def _cmd_ideal(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    k = parse_rational(spec.parameters["k"])
+def _cmd_ideal(system: wideal.WeightSystem, params: dict):
+    k = parse_rational(params["k"])
     ideal = wideal.ideal_generators(system, k)
     result = {
         "system": _system_dict(system),
@@ -281,9 +277,8 @@ def _cmd_ideal(spec: RunSpec):
     return result, [], True
 
 
-def _cmd_wt(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    f = parse_polynomial(spec.parameters["poly"], nvars=system.n)
+def _cmd_wt(system: wideal.WeightSystem, params: dict):
+    f = parse_polynomial(params["poly"], nvars=system.n)
     weight = wideal.polynomial_weight(f, system)
     per_monomial = [
         {"exponents": _vec(s), "weight": _frac(wideal.monomial_weight(s, system))}
@@ -298,10 +293,9 @@ def _cmd_wt(spec: RunSpec):
     return result, [], True
 
 
-def _cmd_pushforward(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    f = parse_polynomial(spec.parameters["f"], nvars=system.n)
-    report = blowup.pushforward_decomposition(f, system, spec.parameters.get("a_max"))
+def _cmd_pushforward(system: wideal.WeightSystem, params: dict):
+    f = parse_polynomial(params["f"], nvars=system.n)
+    report = blowup.pushforward_decomposition(f, system, params["a_max"])
     result = {
         "system": _system_dict(system),
         "polynomial": f.text(),
@@ -320,14 +314,11 @@ def _cmd_pushforward(spec: RunSpec):
     return result, notes, True
 
 
-def _cmd_transform(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    g = parse_polynomial(spec.parameters["g"], nvars=system.n)
-    teq = blowup.strict_transform_in_chart(g, system, spec.parameters["chart"])
+def _cmd_transform(system: wideal.WeightSystem, params: dict):
+    g = parse_polynomial(params["g"], nvars=system.n)
+    teq = blowup.strict_transform_in_chart(g, system, params["chart"])
     def terms_payload(terms):
-        return [
-            {"exponents": _fracvec(e), "coefficient": _frac(c)} for e, c in terms
-        ]
+        return [{"exponents": _fracvec(e), "coefficient": _frac(c)} for e, c in terms]
     result = {
         "system": _system_dict(system),
         "chart": teq.chart_index,
@@ -338,36 +329,33 @@ def _cmd_transform(spec: RunSpec):
     return result, ["exponents are exact rationals in the chart coordinate"], True
 
 
-def _cmd_lift_check(spec: RunSpec):
+def _cmd_lift_check(_, params: dict):
     from . import lifting
 
-    base = _csv_ints(spec.parameters["sigma_prime"], "sigma-prime")
-    inst = lifting.make_lift_instance(base, spec.parameters["m"], spec.parameters["a"])
-    mutate = spec.parameters.get("mutate")
+    base = _csv_ints(params["sigma_prime"], "sigma-prime")
+    inst = lifting.make_lift_instance(base, params["m"], params["a"])
+    mutate = params["mutate"]
     if mutate is not None:
         inst = lifting.mutated_instance(inst, mutate)
-    report = lifting.verify_decomposition_range(inst, spec.parameters.get("dmax", 6))
+    report = lifting.verify_decomposition_range(inst, params["dmax"])
     result = {
         "instance": _instance_dict(inst),
         "mutated": mutate is not None,
         "check": _check_dict(report),
     }
-    notes = []
-    if mutate is not None:
-        notes.append(
-            f"lifted weight deliberately offset by {mutate} from its forced value"
-        )
+    notes = [] if mutate is None else [
+        f"lifted weight deliberately offset by {mutate} from its forced value"
+    ]
     return result, notes, report.passed
 
 
-def _cmd_chain(spec: RunSpec):
+def _cmd_chain(start, params: dict):
     from . import lifting
 
-    start = parse_singularity(spec.target)
     if isinstance(start, quotient.CyclicQuotientType):
         start = quotient.HyperquotientType(start, quotient.Polynomial.zero(start.n), 0)
-    a_sequence = _csv_ints(spec.parameters["a_sequence"], "a-sequence")
-    report = lifting.chain_report(start, a_sequence, spec.parameters.get("dmax", 4))
+    a_sequence = _csv_ints(params["a_sequence"], "a-sequence")
+    report = lifting.chain_report(start, a_sequence, params["dmax"])
     result = {
         "start": start.notation(),
         "initial_type": _quotient_dict(report.initial_type),
@@ -389,11 +377,10 @@ def _cmd_chain(spec: RunSpec):
     return result, list(report.notes), report.status == "pass"
 
 
-def _cmd_invariants(spec: RunSpec):
-    target = parse_singularity(spec.target)
+def _cmd_invariants(target, params: dict):
     if not isinstance(target, quotient.CyclicQuotientType):
         raise InvalidInstanceError("invariants takes a cyclic quotient type")
-    bound = spec.parameters.get("degree_bound", target.n * target.m)
+    bound = target.n * target.m if params["degree_bound"] is None else params["degree_bound"]
     basis = quotient.invariant_monoid_basis(target, bound)
     result = {
         "type": _quotient_dict(target),
@@ -405,19 +392,14 @@ def _cmd_invariants(spec: RunSpec):
     notes = []
     if target.n == 2:
         try:
-            rel = quotient.binomial_relation_2d(target)
-            result["relation"] = {
-                "basis": [_vec(v) for v in rel.basis],
-                "exponents": _vec(rel.exponents),
-            }
+            result["relation"] = _relation_dict(quotient.binomial_relation_2d(target))
         except WblowError as exc:
             notes.append(f"no binomial relation: {exc}")
     return result, notes, True
 
 
-def _cmd_example33(spec: RunSpec):
-    r, m, a = spec.parameters["r"], spec.parameters["m"], spec.parameters["a"]
-    exp_n = spec.parameters.get("exponent_n", 2)
+def _cmd_example33(_, params: dict):
+    r, m, a, exp_n = params["r"], params["m"], params["a"], params["exponent_n"]
     if exp_n < 2:
         raise InvalidInstanceError("the last-variable exponent must be at least 2")
     rm = r * m
@@ -426,14 +408,10 @@ def _cmd_example33(spec: RunSpec):
     expected_basis = sorted([(rm, 0), (0, rm), (1, 1)], key=lambda e: (sum(e), e))
     basis_ok = list(basis.generators) == expected_basis and basis.complete
 
-    relation_ok = False
-    relation_payload = None
+    relation_ok, relation_payload = False, None
     try:
         rel = quotient.binomial_relation_2d(surface)
-        relation_payload = {
-            "basis": [_vec(v) for v in rel.basis],
-            "exponents": _vec(rel.exponents),
-        }
+        relation_payload = _relation_dict(rel)
         relation_ok = rel.basis[2] == (1, 1) and rel.exponents == (1, 1, rm)
     except WblowError:
         pass
@@ -441,9 +419,7 @@ def _cmd_example33(spec: RunSpec):
     action = quotient.action_lift_check(r, m, a)
 
     ambient = quotient.CyclicQuotientType(r, (a, -a, 1, 0))
-    g = (
-        quotient.Polynomial(4, {(1, 1, 0, 0): 1, (0, 0, rm, 0): 1, (0, 0, 0, exp_n): 1})
-    )
+    g = quotient.Polynomial(4, {(1, 1, 0, 0): 1, (0, 0, rm, 0): 1, (0, 0, 0, exp_n): 1})
     eig = quotient.semi_invariant_class(g, ambient)
     eig_ok = eig == 0
 
@@ -475,11 +451,9 @@ def _cmd_example33(spec: RunSpec):
     return result, notes, ok
 
 
-def _cmd_truncation(spec: RunSpec):
-    system = parse_weight_system(spec.target)
-    if spec.parameters.get("find_stable", False):
-        d_max = spec.parameters.get("dmax", 3)
-        limit = spec.parameters.get("limit", 8)
+def _cmd_truncation(system: wideal.WeightSystem, params: dict):
+    if params["find_stable"]:
+        d_max, limit = params["dmax"], params["limit"]
         found = wideal.find_stable_b(system, d_max, limit)
         result = {
             "system": _system_dict(system),
@@ -489,12 +463,10 @@ def _cmd_truncation(spec: RunSpec):
             "stable_b": None if found is None else _frac(found),
         }
         return result, [], True
-    if "b" not in spec.parameters or "d" not in spec.parameters:
-        raise InvalidInstanceError(
-            "truncation needs either --find-stable or both --b and --d"
-        )
-    b = parse_rational(spec.parameters["b"])
-    report = wideal.product_vs_truncation(system, b, spec.parameters["d"])
+    if params["b"] is None or params["d"] is None:
+        raise InvalidInstanceError("truncation needs either --find-stable or both --b and --d")
+    b = parse_rational(params["b"])
+    report = wideal.product_vs_truncation(system, b, params["d"])
     result = {
         "system": _system_dict(system),
         "mode": "compare",
@@ -514,7 +486,8 @@ def _cmd_truncation(spec: RunSpec):
 
 
 # ---------------------------------------------------------------------------
-# The command table: argparse, validation and dispatch are generated from it.
+# The command table: argparse, validation, target parsing, parameter defaults
+# and dispatch are generated from it.
 
 
 @dataclass(frozen=True)
@@ -525,55 +498,66 @@ class Param:
     type: type  # int, str or bool (a bool is a flag that takes no value)
     required: bool = False
     help: str | None = None
+    default: object = None  # what the handler sees when the parameter is not given
 
 
 @dataclass(frozen=True)
 class Command:
-    handler: Callable[[RunSpec], tuple]
-    target: bool
+    handler: Callable[[object, dict], tuple]
+    target: Callable[[str], object] | None  # reads the target; None: the command takes none
     help: str
     params: tuple[Param, ...] = ()
 
 
 COMMANDS = {
-    "charts": Command(_cmd_charts, True, "chart types and substitutions", (Param("chart", int),)),
-    "fan": Command(_cmd_fan, True, "subdivision fan and its checks", (Param("grid", int),)),
+    "charts": Command(
+        _cmd_charts, parse_weight_system, "chart types and substitutions", (Param("chart", int),)
+    ),
+    "fan": Command(
+        _cmd_fan, parse_weight_system, "subdivision fan and its checks",
+        (Param("grid", int, default=blowup.SUBDIVISION_GRID),),
+    ),
     "ideal": Command(
-        _cmd_ideal, True, "minimal generators at a threshold",
+        _cmd_ideal, parse_weight_system, "minimal generators at a threshold",
         (Param("k", str, True, "threshold, as 'p/q' or an integer"),),
     ),
-    "wt": Command(_cmd_wt, True, "weight of a polynomial", (Param("poly", str, True),)),
+    "wt": Command(_cmd_wt, parse_weight_system, "weight of a polynomial", (Param("poly", str, True),)),
     "pushforward": Command(
-        _cmd_pushforward, True, "divisor pullback decomposition",
+        _cmd_pushforward, parse_weight_system, "divisor pullback decomposition",
         (Param("f", str, True, "semi-invariant equation"), Param("a_max", int)),
     ),
     "transform": Command(
-        _cmd_transform, True, "strict transform in one chart",
+        _cmd_transform, parse_weight_system, "strict transform in one chart",
         (Param("g", str, True), Param("chart", int, True)),
     ),
     "lift-check": Command(
-        _cmd_lift_check, False, "decomposition identity sweep",
+        _cmd_lift_check, None, "decomposition identity sweep",
         (
             Param("sigma_prime", str, True), Param("m", int, True), Param("a", int, True),
-            Param("dmax", int), Param("mutate", int),
+            Param("dmax", int, default=6), Param("mutate", int),
         ),
     ),
     "chain": Command(
-        _cmd_chain, True, "iterated lifting chain",
-        (Param("a_sequence", str, True), Param("dmax", int)),
+        _cmd_chain, parse_singularity, "iterated lifting chain",
+        (Param("a_sequence", str, True), Param("dmax", int, default=4)),
     ),
     "invariants": Command(
-        _cmd_invariants, True, "invariant monomial basis", (Param("degree_bound", int),)
+        _cmd_invariants, parse_singularity, "invariant monomial basis",
+        (Param("degree_bound", int, help="degree bound (default: n*m of the target)"),),
     ),
     "example33": Command(
-        _cmd_example33, False, "bundled worked surface example",
-        (Param("r", int, True), Param("m", int, True), Param("a", int, True), Param("exponent_n", int)),
+        _cmd_example33, None, "bundled worked surface example",
+        (
+            Param("r", int, True), Param("m", int, True), Param("a", int, True),
+            Param("exponent_n", int, default=2),
+        ),
     ),
     "truncation": Command(
-        _cmd_truncation, True, "power vs truncation ideals",
+        _cmd_truncation, parse_weight_system, "power vs truncation ideals",
         (
             Param("b", str, help="threshold step multiple, as 'p/q'"), Param("d", int),
-            Param("find_stable", bool), Param("dmax", int), Param("limit", int),
+            Param("find_stable", bool, default=False), Param("dmax", int, default=3),
+            Param("limit", int, default=8),
         ),
     ),
 }
@@ -589,8 +573,6 @@ def validate_spec(spec: RunSpec) -> None:
     command = COMMANDS.get(spec.command)
     if command is None:
         raise InvalidInstanceError(f"unknown command {spec.command!r}")
-    if spec.output_format not in ("text", "json"):
-        raise InvalidInstanceError(f"unknown output format {spec.output_format!r}")
     if command.target and not spec.target:
         raise InvalidInstanceError(f"command {spec.command!r} requires a target")
     if not command.target and spec.target:
@@ -611,11 +593,14 @@ def validate_spec(spec: RunSpec) -> None:
 
 
 def run(spec: RunSpec) -> Report:
-    """Validate, dispatch, and wrap the outcome in a Report with an exit code."""
+    """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome."""
     input_echo = {"target": spec.target, "parameters": dict(sorted(spec.parameters.items()))}
     try:
         validate_spec(spec)
-        result, provenance, ok = COMMANDS[spec.command].handler(spec)
+        command = COMMANDS[spec.command]
+        target = command.target(spec.target) if command.target else None
+        params = {p.name: p.default for p in command.params} | spec.parameters
+        result, provenance, ok = command.handler(target, params)
     except WblowError as exc:
         return _error_report(spec.command, input_echo, exc)
     return Report(
@@ -659,7 +644,7 @@ def _spec_of_entry(entry) -> RunSpec:
         raise InvalidInstanceError(f"batch entry target must be a string, got {target!r}")
     if not isinstance(parameters, dict):
         raise InvalidInstanceError(f"batch entry parameters must be an object, got {parameters!r}")
-    return RunSpec(command, target, parameters, output_format="json")
+    return RunSpec(command, target, parameters)
 
 
 def run_batch(path: str) -> Report:
@@ -713,9 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Notation: '1/m(a1,...,an)' for weight systems and cyclic quotients;"
             " '1/m(a0,...,an;e){g=<poly>}' for hyperquotients."
-            " WBLOW_MAX_ENUM caps enumeration work: grid points for fan,"
-            " n*ceil(k*m) steps for the count below a threshold, residue-table"
-            " steps for lift-check and chain, box sizes elsewhere."
+            " WBLOW_MAX_ENUM caps enumeration work (default 50 million); the README's"
+            " budget paragraph lists what each enumeration is charged."
         ),
     )
     common = _Parser(add_help=False)
@@ -727,23 +711,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("target", nargs="?")
         for param in command.params:
             flag = "--" + param.name.replace("_", "-")
-            help_ = f"{param.help or ''} (required)".lstrip() if param.required else param.help
+            help_ = param.help
+            if param.required or param.default is not None:
+                note = "required" if param.required else f"default: {param.default}"
+                help_ = f"{help_ or ''} ({note})".lstrip()
+            # default=None keeps a parameter that was not given out of the report's input echo
             if param.type is bool:
                 p.add_argument(flag, dest=param.name, action="store_true", default=None, help=help_)
             else:
-                p.add_argument(flag, dest=param.name, type=param.type, help=help_)
+                type_ = integer if param.type is int else param.type
+                p.add_argument(flag, dest=param.name, type=type_, help=help_)
     p = sub.add_parser("batch", parents=[common], help="run a JSON list of specs")
     p.add_argument("path")
     return parser
 
 
 def spec_from_args(args: argparse.Namespace) -> RunSpec:
-    params = {}
-    for param in COMMANDS[args.command].params:
-        value = getattr(args, param.name)
-        if value is not None:
-            params[param.name] = value
-    return RunSpec(args.command, getattr(args, "target", None), params, args.format)
+    given = ((p.name, getattr(args, p.name)) for p in COMMANDS[args.command].params)
+    params = {name: value for name, value in given if value is not None}
+    return RunSpec(args.command, getattr(args, "target", None), params)
 
 
 def _wants_json(argv: list) -> bool:

@@ -53,12 +53,6 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
-        if ch:
-            self.pos += 1
-        return ch
-
     def expect(self, literal: str) -> None:
         ch = self.peek()
         if ch != literal:
@@ -76,7 +70,13 @@ class _Scanner:
             found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
             self.error(f"expected an integer, found {found}")
         self.pos = digits.end()
-        return int(digits.group())
+        return self.integer(digits.group(), digits.start())
+
+    def integer(self, digits: str, at: int) -> int:
+        try:  # int() refuses more digits than sys.get_int_max_str_digits(), a process-wide limit
+            return int(digits)
+        except ValueError:
+            self.error(f"integer of {len(digits)} digits is too long", at)
 
     def take_signed(self) -> int:
         sign = 1
@@ -157,10 +157,10 @@ def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
         factor = None
         for factor in _FACTOR.finditer(text, *term.span(3)):
             _, digit, braced, power = factor.groups()
-            idx = int(digit or braced)
+            idx = int(digit) if digit else sc.integer(braced, factor.start(3))
             if not 1 <= idx <= nvars:
                 sc.error(f"variable x{idx} is out of range for {nvars} variables", factor.end(1))
-            power = 1 if power is None else int(power)
+            power = 1 if power is None else sc.integer(power, factor.start(4))
             if power < 1:
                 sc.error("exponents must be positive", factor.end(4))
             exponents[idx - 1] += power
@@ -180,7 +180,7 @@ def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
             if not (digits or factor):
                 sc.error("expected a coefficient or a variable")
             sc.error(f"expected '+' or '-' between terms, found {ch!r}")
-        coeff = int(digits) if digits else 1
+        coeff = sc.integer(digits, term.start(2)) if digits else 1
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
     return Polynomial(nvars, terms)

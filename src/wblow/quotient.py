@@ -15,8 +15,9 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
-from .arith import ExpVec, check_enum_budget, expvec, minimalize, vec_add
+from .arith import ExpVec, check_enum_budget, expvec, vec_add
 from .errors import (
     DimensionError,
     InvalidInstanceError,
@@ -302,7 +303,11 @@ def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBa
     1 (1969)); enumeration stops at min(degree_bound, m).  The basis is the
     divisibility-minimal nonzero invariants, because the difference of two
     invariants is invariant.  The budget charges C(min(degree_bound, m) + n, n)
-    candidates; the walk visits the first n - 1 entries and solves for the last.
+    candidates; the walk visits the first n - 1 entries (a head) and solves for
+    the last.  Heads come in lexicographic order, which extends divisibility,
+    so each basis element dividing an invariant v is found before v; under one
+    head only the least last entry can be minimal, and it is tested against the
+    basis found so far.
     """
     if degree_bound < 1:
         raise InvalidInstanceError("degree bound must be at least 1")
@@ -316,12 +321,15 @@ def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBa
     g = math.gcd(last, m)
     step = m // g
     inverse = pow(last // g, -1, step)
-    invariants = []
+    basis = []
     for p, r, d in heads:
         if r % g == 0:
             first = -(r // g) * inverse % step or (step if d == 0 else 0)
-            invariants.extend(p + (s,) for s in range(first, top - d + 1, step))
-    return MonoidBasis(minimalize(invariants), degree_bound >= n * m, degree_bound)
+            v = p + (first,)
+            if first <= top - d and not any(all(map(le, u, v)) for u in reversed(basis)):
+                basis.append(v)  # newest first above: a divisor is most often a recent element
+    basis.sort(key=lambda e: (sum(e), e))
+    return MonoidBasis(tuple(basis), degree_bound >= n * m, degree_bound)
 
 
 @dataclass(frozen=True, slots=True)

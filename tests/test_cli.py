@@ -10,8 +10,8 @@ import pytest
 from wblow.cli import REPORT_SCHEMA, Report, RunSpec, run, run_batch, main
 
 
-def make_spec(command, target=None, fmt="json", **params):
-    return RunSpec(command=command, target=target, parameters=params, output_format=fmt)
+def make_spec(command, target=None, **params):
+    return RunSpec(command=command, target=target, parameters=params)
 
 
 def run_ok(command, target=None, **params):
@@ -236,6 +236,22 @@ class TestBatch:
         assert [(r["error"]["kind"], r["error"]["position"]) for r in results[1:3]] == [
             ("parse-error", 3),
             ("parse-error", 2),
+        ]
+
+    def test_over_long_numbers_are_entry_parse_errors(self, tmp_path, capsys):
+        good = {"command": "ideal", "target": "1/1(2,3)", "parameters": {"k": "6"}}
+        entries = [
+            good,
+            {"command": "charts", "target": "1/1(" + "1" * 5000 + ",1)"},
+            {"command": "wt", "target": "1/1(1,2)", "parameters": {"poly": "x1^" + "2" * 5000}},
+            good,
+        ]
+        assert main(["batch", self._write(tmp_path, entries), "--format", "json"]) == 1
+        results = json.loads(capsys.readouterr().out)["result"]["results"]
+        assert [r["status"] for r in results] == ["ok", "error", "error", "ok"]
+        assert [(r["error"]["kind"], r["error"]["position"]) for r in results[1:3]] == [
+            ("parse-error", 5),
+            ("parse-error", 4),
         ]
 
 
@@ -469,6 +485,48 @@ class TestMainEntry:
             "position": position,
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["wt", "1/1(1,2)", "--poly", "1" * 5000 + "x1"], ["charts", "1/1(" + "1" * 5000 + ",1)"]],
+        ids=["coefficient", "weight"],
+    )
+    def test_over_long_number_exits_1_with_parse_report(self, capsys, argv):
+        assert main([*argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        position = 1 if argv[0] == "wt" else 5
+        assert payload["error"] == {
+            "kind": "parse-error",
+            "message": f"integer of 5000 digits is too long (position {position})",
+            "position": position,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lift-check", "--sigma-prime", "\u0661,\u0662", "--m", "1", "--a", "1"], "sigma-prime"),
+            (["transform", "1/1(1,1)", "--g", "x1^2+x2^2", "--chart", "\u0661"], "--chart"),
+            (["lift-check", "--sigma-prime", "1,2", "--m", "1_0", "--a", "1"], "--m"),
+        ],
+        ids=["csv-arabic-indic", "flag-arabic-indic", "flag-underscore"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv, flag):
+        assert main([*argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"]["kind"] == "invalid-instance"
+        assert flag in payload["error"]["message"]
+
+    def test_integer_flags_allow_surrounding_spaces_and_a_sign(self, capsys):
+        argv = ["lift-check", "--sigma-prime", " 1 , 2 ", "--m", " 1", "--a", "+1 ", "--format", "json"]
+        assert main(argv) == 0
+        instance = json.loads(capsys.readouterr().out)["result"]["instance"]
+        assert (instance["base_weights"], instance["m"]) == ([1, 2], 1)
+
     def test_missing_required_flag_exits_1_with_report(self, capsys):
         assert main(["ideal", "1/1(2,3)", "--format", "json"]) == 1
         captured = capsys.readouterr()
@@ -504,6 +562,19 @@ class TestMainEntry:
             main(["lift-check", "-h"])
         assert exc.value.code == 0
         assert "--sigma-prime" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [("lift-check", ["--dmax DMAX", "(default: 6)"]),
+         ("truncation", ["(default: False)", "(default: 3)", "(default: 8)"])],
+    )
+    def test_help_lists_the_table_defaults(self, capsys, command, shown):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for text in shown:
+            assert text in out
 
     def test_text_format_mentions_status(self, capsys):
         assert main(["wt", "1/2(1,1)", "--poly", "x1"]) == 0

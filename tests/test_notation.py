@@ -174,6 +174,45 @@ class TestAsciiDigits:
             parse_rational("\u0663/4")
 
 
+class TestOverLongNumbers:
+    """A number past the interpreter's int-to-str digit limit is a parse error at its start."""
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            (LONG + "x1", 1),  # coefficient
+            ("x2 - " + LONG, 6),
+            ("x{" + LONG + "}", 3),  # braced index
+            ("x1^" + LONG, 4),  # power
+        ],
+        ids=["coefficient", "later-coefficient", "index", "power"],
+    )
+    def test_polynomial(self, text, position):
+        with pytest.raises(NotationError) as exc:
+            parse_polynomial(text, nvars=2)
+        assert str(exc.value) == f"integer of 5000 digits is too long (position {position})"
+
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_weight_system, "1/" + LONG + "(1,2)", 3),
+            (parse_weight_system, "1/1(1, " + LONG + ")", 8),
+            (parse_singularity, "1/2(1,1;" + LONG + "){g=x1}", 9),
+            (parse_rational, "-" + LONG, 2),
+        ],
+        ids=["order", "weight", "eigenvalue", "rational"],
+    )
+    def test_scanner(self, parse, text, position):
+        with pytest.raises(NotationError) as exc:
+            parse(text)
+        assert exc.value.position == position
+
+    def test_just_under_the_limit_parses(self):
+        assert parse_rational("1" * 4300) == int("1" * 4300)
+
+
 class TestRationals:
     def test_parse(self):
         assert parse_rational("3/4") == Fraction(3, 4)
