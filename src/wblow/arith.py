@@ -112,7 +112,11 @@ def check_enum_budget(points: int, what: str) -> None:
     """
     limit = max_enum_points()
     if points > limit:
+        try:
+            count = str(points)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            count = f"more than 2^{points.bit_length() - 1}"
         raise EnumerationLimitError(
-            f"{what} needs {points} enumeration steps, over the limit of {limit};"
+            f"{what} needs {count} enumeration steps, over the limit of {limit};"
             " raise WBLOW_MAX_ENUM to allow it"
         )

@@ -39,6 +39,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInstanceError,
     NotationError,
+    OutOfDomainError,
     WblowError,
     exit_code_for,
 )
@@ -601,8 +602,17 @@ def run(spec: RunSpec) -> Report:
         target = command.target(spec.target) if command.target else None
         params = {p.name: p.default for p in command.params} | spec.parameters
         result, provenance, ok = command.handler(target, params)
+        json.dumps(result)  # refuse now a result that could not be rendered later
     except WblowError as exc:
         return _error_report(spec.command, input_echo, exc)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # not the int-to-str digit limit
+            raise
+        refusal = OutOfDomainError(
+            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " too long to be written as text"
+        )
+        return _error_report(spec.command, input_echo, refusal)
     return Report(
         command=spec.command,
         input=input_echo,

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul
+from operator import le, mul, sub
 
 from .arith import ceil_div, check_enum_budget, lcm_of, minimalize, normalize_weights
 from .errors import (
@@ -137,12 +137,15 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     The walk visits the staircase: every prefix of weight < t and its first
     crossing of t, the only value of an entry that can end a minimal
     generator.  It recurses over the first n - 2 entries, passing down the
-    prefix, its weight and the least weight at a nonzero entry; the last two
-    entries are one flat loop that solves the last entry's crossing inline.
-    A point s of weight W >= t is minimal iff W - min{a_i : s_i > 0} < t, an
-    O(1) test; at the first crossing of entry i, W - a_i < t already holds,
-    so only the entries before i are tested.  Generators come out sorted by
-    (weight, lex).  The budget still charges the nominal box, which never
+    prefix, the weight still missing to t and the least weight at a nonzero
+    entry; the last two entries are one flat loop that solves the last
+    entry's crossing inline.  A point s of weight W >= t is minimal iff its
+    overshoot W - t is below min{a_i : s_i > 0}, an O(1) test; at the first
+    crossing of entry i, W - a_i < t already holds, so only the entries
+    before i are tested.  The walk meets generators in lex order, and every
+    overshoot is below max(weights), so appending each generator to the row
+    of its overshoot and joining the rows sorts them by (weight, lex)
+    without a sort.  The budget still charges the nominal box, which never
     shrinks as t grows.
     """
     n = len(weights)
@@ -152,38 +155,38 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     if n == 1:
         return ((ceil_div(t, weights[0]),),)
     a, b = weights[-2:]
-    out = []  # (weight, generator) pairs
+    top = max(weights)
+    rows = [[] for _ in range(top)]  # rows[W - t]: the generators of weight W, in lex order
 
-    def walk(p: tuple, acc: int, low: int) -> None:
-        # acc = weight of the prefix p < t; low = least weight at a nonzero entry of p
+    def walk(p: tuple, rem: int, low: int) -> None:
+        # rem = t - weight of the prefix p > 0; low = least weight at a nonzero entry of p
         j = len(p)
         if j < n - 2:
             c = weights[j]
-            walk(p + (0,), acc, low)
-            s, w = 1, acc + c
-            while w < t:
-                walk(p + (s,), w, min(low, c))
-                s, w = s + 1, w + c
-            if w - low < t:
-                out.append((w, p + (s,) + (0,) * (n - 1 - j)))
+            walk(p + (0,), rem, low)
+            low_c = min(low, c)
+            s, rem = 1, rem - c
+            while rem > 0:
+                walk(p + (s,), rem, low_c)
+                s, rem = s + 1, rem - c
+            if -rem < low:
+                rows[-rem].append(p + (s,) + (0,) * (n - 1 - j))
             return
-        r = (t - acc - 1) // b + 1
-        if acc + r * b - low < t:
-            out.append((acc + r * b, p + (0, r)))
+        q, e = divmod(rem - 1, b)  # the last entry crosses at q + 1 with overshoot b - 1 - e
+        if b - 1 - e < low:
+            rows[b - 1 - e].append(p + (0, q + 1))
         low_a = min(low, a)
-        s, w = 1, acc + a
-        while w < t:
-            r = (t - w - 1) // b + 1
-            v = w + r * b
-            if v - low_a < t:
-                out.append((v, p + (s, r)))
-            s, w = s + 1, w + a
-        if w - low < t:
-            out.append((w, p + (s, 0)))
+        s, rem = 1, rem - a
+        while rem > 0:
+            q, e = divmod(rem - 1, b)
+            if b - 1 - e < low_a:
+                rows[b - 1 - e].append(p + (s, q + 1))
+            s, rem = s + 1, rem - a
+        if -rem < low:
+            rows[-rem].append(p + (s, 0))
 
-    walk((), 0, max(weights))  # max(weights) stands in for "no nonzero entry yet"
-    out.sort()
-    return tuple(g for _, g in out)
+    walk((), t, top)  # top stands in for "no nonzero entry yet"
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def ideal_generators(system: WeightSystem, k) -> WeightedIdeal:
@@ -237,30 +240,117 @@ class TruncationReport:
     containment_ok: bool
 
 
+def _power_split(g: tuple, weights: tuple, lo: int, hi: int):
+    """Some h <= g with lo <= sum(h_i * weights_i) <= hi, or None.
+
+    The prefix split comes first: whole entries of g until the next one
+    crosses lo, and that one only as far as the crossing; it answers most
+    calls.  Otherwise a bounded subset sum on a Python int used as a bitset
+    decides: bit w of ``reach`` says that some h <= g made of the pieces so
+    far weighs w.  Entry i's multiplicity g_i is split into pieces 1, 2, 4,
+    ... and a remainder (Martello & Toth, *Knapsack Problems*, 1990, section
+    3.2), so about n * log2(max g_i) shift-and-or steps suffice.  The bitset
+    before each piece is kept, and the least reachable weight in [lo, hi] is
+    traced back through them to an explicit h.
+    """
+    if hi < lo:
+        return None
+    rem = lo
+    for i, (gi, a) in enumerate(zip(g, weights)):
+        if gi * a >= rem:
+            x = (rem - 1) // a + 1
+            if x * a - rem <= hi - lo:
+                return g[:i] + (x,) + (0,) * (len(g) - 1 - i)
+            break
+        rem -= gi * a
+    cap = (1 << (hi + 1)) - 1
+    reach = 1
+    pieces = []  # (entry, copies, reach before the piece)
+    for i, (gi, a) in enumerate(zip(g, weights)):
+        k = 1
+        while gi:
+            k = min(k, gi)
+            pieces.append((i, k, reach))
+            reach = (reach | reach << k * a) & cap
+            gi -= k
+            k += k
+    window = reach >> lo
+    if not window:
+        return None
+    w = lo + (window & -window).bit_length() - 1
+    h = [0] * len(g)
+    for i, k, before in reversed(pieces):
+        if not before >> w & 1:
+            h[i] += k
+            w -= k * weights[i]
+    return tuple(h)
+
+
+def _first_power_gap(weights: tuple, t: int, d: int, top: tuple | None = None):
+    """(j, g) for the least j in 2..d with I_t^j != I_{jt}, g the first generator of I_{jt} outside; or None.
+
+    I_t^j is contained in I_{jt} because weights add, so the two are equal iff
+    every minimal generator of I_{jt} lies in I_t^j.  The sweep runs j upward:
+    once I_t^(j-1) = I_{(j-1)t} is known, I_t^j = I_{(j-1)t} * I_t, and g lies
+    in that product iff some h <= g has W(h) >= t and W(g - h) >= (j-1)t,
+    that is t <= W(h) <= W(g) - (j-1)t.  Each h that ``_power_split``
+    returns is checked against this definition, a second route apart from the
+    bitset.  Each level is built once; ``top`` is the level-d generators when
+    the caller has them already.
+    """
+    for j in range(2, d + 1):
+        rest = (j - 1) * t
+        level = top if j == d and top is not None else minimal_generators_numerator(weights, j * t)
+        for g in level:
+            h = _power_split(g, weights, t, sum(map(mul, g, weights)) - rest)
+            if h is None:
+                return j, g
+            if not (
+                len(h) == len(g)
+                and all(map(le, h, g))
+                and sum(map(mul, h, weights)) >= t
+                and sum(map(mul, map(sub, g, h), weights)) >= rest
+            ):
+                raise InternalConsistencyError(
+                    f"the split {h} does not put {g} in the product of the ideals at {rest} and {t}"
+                )
+    return None
+
+
 def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tuple:
-    """Core comparison in numerator form; returns (trunc_gens, power_gens, equal, witness, ok)."""
+    """Core comparison in numerator form; returns (trunc_gens, power_gens, equal, witness, ok).
+
+    Equality and the witness come from the membership sweep.  When it finds
+    the two ideals equal, the power's minimal generators are the
+    truncation's, given in the (total degree, lex) order of ``minimalize``;
+    otherwise the power is built from d-fold sums, and its containment and
+    first missing truncation generator are checked against the sweep.
+    """
     weights, n = system.weights, system.n
     base = minimal_generators_numerator(weights, t_b)
     trunc = minimal_generators_numerator(weights, d * t_b)
     if any(len(g) != n for g in base + trunc):  # once per call, not once per pair
         raise DimensionError(f"generators do not all have length {n}")
+    gap = _first_power_gap(weights, t_b, d, trunc)
+    if gap is None:
+        return trunc, tuple(sorted(trunc, key=lambda e: (sum(e), e))), True, None, True
+
+    # the C(G + d - 1, d) d-fold sums of the G base generators, charged before any is built
+    check_enum_budget(math.comb(len(base) + d - 1, d), "d-fold products of generators")
     power = minimalize(
         tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(base, d)
     )
-
     containment_ok = all(sum(map(mul, p, weights)) >= d * t_b for p in power)
     by_div = all(any(all(map(le, g, p)) for g in trunc) for p in power)
     if containment_ok != by_div:
         raise InternalConsistencyError("containment routes disagree in power-vs-truncation")
-
+    witness = next((g for g in trunc if not any(all(map(le, p, g)) for p in power)), None)
     equal = set(trunc) == set(power)
-    witness = None
-    if not equal:
-        witness = next((g for g in trunc if not any(all(map(le, p, g)) for p in power)), None)
-        if witness is None:
-            raise InternalConsistencyError(
-                "ideals reported unequal but every truncation generator lies in the power"
-            )
+    j, g = gap
+    if equal != (witness is None) or (j == d and witness != g):
+        raise InternalConsistencyError(
+            f"the d-fold sums give the witness {witness}, the membership sweep {g} at level {j}"
+        )
     return trunc, power, equal, witness, containment_ok
 
 
@@ -268,9 +358,11 @@ def product_vs_truncation(system: WeightSystem, b, d: int) -> TruncationReport:
     """Compare the ideal at threshold d*b with the d-fold product of the one at b.
 
     ``b`` must be a positive multiple of lcm(weights)/m, the natural step of
-    the associated graded algebra.  The product ideal is computed exactly
-    from d-fold sums of generators (products of monomial ideals are generated
-    by products of generators), then minimalized.
+    the associated graded algebra.  Equality is decided by membership: each
+    minimal generator of the ideal at j*b, j = 2..d, is split into a part of
+    weight >= b and one of weight >= (j-1)*b, and every split is checked.
+    The d-fold products of generators are built only when the ideals differ,
+    for the power's own generators.
     """
     if d < 2:
         raise InvalidInstanceError(f"d must be at least 2, got {d}")
@@ -289,18 +381,19 @@ def product_vs_truncation(system: WeightSystem, b, d: int) -> TruncationReport:
 def find_stable_b(system: WeightSystem, d_max: int, search_limit: int):
     """Smallest b in {step, 2*step, ...} with equality for every d <= d_max, or None.
 
-    ``step`` is lcm(weights)/m.  Stops at the first candidate that passes the
-    whole d-sweep; returns None when no candidate within search_limit does.
+    ``step`` is lcm(weights)/m.  Each candidate gets one membership sweep up
+    to d_max, which stops at the first failing d; the search stops at the
+    first candidate that passes, and returns None when no candidate within
+    search_limit does.
     """
     if d_max < 2:
         raise InvalidInstanceError(f"d_max must be at least 2, got {d_max}")
     if search_limit < 1:
         raise InvalidInstanceError(f"search_limit must be at least 1, got {search_limit}")
-    step = Fraction(system.lcm, system.m)
+    lcm = system.lcm
     for c in range(1, search_limit + 1):
-        b = c * step
-        if all(product_vs_truncation(system, b, d).equal for d in range(2, d_max + 1)):
-            return b
+        if _first_power_gap(system.weights, c * lcm, d_max) is None:
+            return Fraction(c * lcm, system.m)
     return None
 
 

@@ -9,7 +9,9 @@ box engine of the lifting check, kept as the reference for the residue-table
 one; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
 the reference for the Davenport-capped minimalization; ``staircase_min_gens``
 is the former recursive generator walk, kept as the reference for the flat
-one; ``scanner_parse_polynomial`` is the former character-by-character
+one; ``sums_power_vs_truncation`` is the former d-fold-sum comparison of a
+power with a truncation, kept as the reference for the membership sweep;
+``scanner_parse_polynomial`` is the former character-by-character
 polynomial parser, kept as the reference for the term-at-a-time one.
 ``invert_transform`` and ``verify_generator_lift`` are cross-checks that
 only tests use.
@@ -21,6 +23,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import le
 
 from wblow.arith import minimalize
 from wblow.blowup import TransformedEquation
@@ -102,6 +105,41 @@ def staircase_min_gens(weights, t):
     descend(0, 0)
     out.sort(key=lambda e: (sum(si * ai for si, ai in zip(e, weights)), e))
     return tuple(out)
+
+
+def sums_power_vs_truncation(weights, t_b, d):
+    """Oracle: the former power-vs-truncation comparison, from every d-fold sum.
+
+    The power's generators are the minimalized d-fold sums of the base
+    generators, sorted by (total degree, lex); containment is checked by
+    weight and by divisibility, and the witness is the first truncation
+    generator (in (weight, lex) order) that no power generator divides.
+    Returns (trunc_gens, power_gens, equal, witness, containment_ok), the
+    shape of ``wideal._compare_power_vs_truncation``.  No budget check.
+    """
+    base = staircase_min_gens(weights, t_b)
+    trunc = staircase_min_gens(weights, d * t_b)
+    power = minimalize(
+        tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(base, d)
+    )
+    containment_ok = all(sum(p_i * w_i for p_i, w_i in zip(p, weights)) >= d * t_b for p in power)
+    by_div = all(any(all(map(le, g, p)) for g in trunc) for p in power)
+    if containment_ok != by_div:
+        raise InternalConsistencyError("containment routes disagree in the sums oracle")
+    equal = set(trunc) == set(power)
+    witness = None
+    if not equal:
+        witness = next(g for g in trunc if not any(all(map(le, p, g)) for p in power))
+    return trunc, power, equal, witness, containment_ok
+
+
+def sums_stable_b(system: WeightSystem, d_max: int, search_limit: int):
+    """Oracle: the former ``find_stable_b``, one sums comparison per candidate and d."""
+    lcm = system.lcm
+    for c in range(1, search_limit + 1):
+        if all(sums_power_vs_truncation(system.weights, c * lcm, d)[2] for d in range(2, d_max + 1)):
+            return Fraction(c * lcm, system.m)
+    return None
 
 
 def scanner_parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:

@@ -10,6 +10,10 @@ import pytest
 from wblow.cli import REPORT_SCHEMA, Report, RunSpec, run, run_batch, main
 
 
+#: 4,300 nines: the longest number the notation reads; nine times it has 4,301 digits.
+NINES = "9" * 4300
+
+
 def make_spec(command, target=None, **params):
     return RunSpec(command=command, target=target, parameters=params)
 
@@ -253,6 +257,18 @@ class TestBatch:
             ("parse-error", 5),
             ("parse-error", 4),
         ]
+
+
+    def test_over_long_results_are_entry_errors(self, tmp_path, capsys):
+        good = {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^9"}}
+        entries = [good, {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^" + NINES}}, good]
+        assert main(["batch", self._write(tmp_path, entries), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        results = json.loads(captured.out)["result"]["results"]
+        assert [r["status"] for r in results] == ["ok", "error", "ok"]
+        assert results[1]["error"]["kind"] == "out-of-domain"
+        assert results[0]["result"]["weight"] == "81/1"
 
 
 class TestExternalInterfaces:
@@ -502,6 +518,63 @@ class TestMainEntry:
             "message": f"integer of 5000 digits is too long (position {position})",
             "position": position,
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wt", "1/1(1,9)", "--poly", "x2^" + NINES],  # a weight of 4,301 digits
+            ["wt", "1/1(1,9)", "--poly", f"x2^{NINES}*x2^9"],  # an exponent of 4,301 digits
+            ["wt", f"1/1(1{'0' * 2200},1{'0' * 2199}1)", "--poly", "x1"],  # an lcm of 4,401 digits
+        ],
+        ids=["weight", "exponent", "lcm"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_over_long_result_exits_1_with_report(self, capsys, argv, fmt):
+        assert main([*argv, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        if fmt == "text":
+            assert "error[out-of-domain]: the result holds an integer of more than 4300 digits" in captured.err
+            return
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"] == {
+            "kind": "out-of-domain",
+            "message": "the result holds an integer of more than 4300 digits, too long to be written as text",
+        }
+
+    def test_over_long_budget_count_is_an_enumeration_limit(self, capsys):
+        # the nominal box (10^4300)^2 is too long to print, so the refusal names its size in bits
+        assert main(["ideal", "1/1(1,1)", "--k", NINES, "--format", "json"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "enumeration-limit"
+        assert "needs more than 2^28568 enumeration steps" in error["message"]
+
+    def test_bad_power_split_exits_3(self, capsys, monkeypatch):
+        import wblow.wideal as wideal_mod
+
+        monkeypatch.setattr(wideal_mod, "_power_split", lambda g, weights, lo, hi: g)
+        assert main(["truncation", "1/1(2,3)", "--b", "6", "--d", "2", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["exit_code"] == 3
+        assert payload["error"]["kind"] == "internal-consistency"
+
+    def test_only_unequal_powers_are_charged_their_sums(self, capsys, monkeypatch):
+        # I_30^8 != I_240 for 1/1(6,10,15,1): C(23 + 7, 8) = 5,852,925 d-fold sums,
+        # over the cap, while the largest staircase box, 4,199,425 points, is under it
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "5000000")
+        argv = ["truncation", "1/1(6,10,15,1)", "--b", "30", "--d", "8", "--format", "json"]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "enumeration-limit"
+        assert "d-fold products of generators needs 5852925" in error["message"]
+        # equal ideals build no sums: C(G + 2, 3) = 6,044,060 here, also over the cap
+        argv = ["truncation", "1/1(15,2,1,1)", "--b", "30", "--d", "3", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["equal"] is True
 
     @pytest.mark.parametrize(
         "argv, flag",

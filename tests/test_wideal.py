@@ -5,15 +5,29 @@ import random
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wblow.wideal as wideal_mod
-from helpers import brute_min_gens, brute_upset_in_box, ceil_div, staircase_min_gens
-from wblow.errors import DimensionError, InternalConsistencyError, InvalidInstanceError, InvalidWeightsError, UndefinedWeightError
+from helpers import (
+    brute_min_gens,
+    brute_upset_in_box,
+    ceil_div,
+    staircase_min_gens,
+    sums_power_vs_truncation,
+    sums_stable_b,
+)
+from wblow.errors import (
+    DimensionError,
+    InternalConsistencyError,
+    InvalidInstanceError,
+    InvalidWeightsError,
+    UndefinedWeightError,
+)
 from wblow.quotient import Polynomial
 from wblow.wideal import (
     WeightSystem,
     _compare_power_vs_truncation,
+    _power_split,
     contains,
     count_below,
     find_stable_b,
@@ -303,6 +317,107 @@ class TestProductVsTruncation:
         monkeypatch.setattr(wideal_mod, "minimal_generators_numerator", short_last)
         with pytest.raises(DimensionError, match="length"):
             _compare_power_vs_truncation(WeightSystem((2, 3), 1), 6, 2)
+
+
+#: I_30^d != I_{30d} for these weights (m = 1); the ideals first agree from b = 60 on.
+UNEQUAL = WeightSystem((6, 10, 15, 1), 1)
+
+
+def report_tuple(report):
+    return (report.truncation.gens, report.power_gens, report.equal, report.witness, report.containment_ok)
+
+
+def sums_over(weights, t_b, d, cap=20_000):
+    return math.comb(len(staircase_min_gens(weights, t_b)) + d - 1, d) > cap
+
+
+class TestPowerByMembership:
+    """The membership sweep against the d-fold-sum oracle, order of generators included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+        m=st.integers(1, 3),
+        c=st.integers(1, 2),
+        d=st.integers(2, 3),
+    )
+    def test_matches_the_sums_oracle(self, weights, m, c, d):
+        assume(math.gcd(*weights) == 1)
+        system = WeightSystem(weights, m)
+        t_b = c * system.lcm
+        assume(not sums_over(weights, t_b, d))
+        report = product_vs_truncation(system, Fraction(t_b, m), d)
+        assert report_tuple(report) == sums_power_vs_truncation(weights, t_b, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+        t_b=st.integers(1, 40),
+        d=st.integers(2, 3),
+    )
+    def test_any_threshold_matches_the_sums_oracle(self, weights, t_b, d):
+        # away from multiples of the lcm the ideals often differ, at d or below
+        assume(math.gcd(*weights) == 1 and not sums_over(weights, t_b, d))
+        got = _compare_power_vs_truncation(WeightSystem(weights, 1), t_b, d)
+        assert got == sums_power_vs_truncation(weights, t_b, d)
+
+    @pytest.mark.parametrize("d, witness", [(2, (4, 2, 1, 1)), (3, (4, 2, 3, 1))])
+    def test_unequal_system_keeps_its_witness(self, d, witness):
+        report = product_vs_truncation(UNEQUAL, 30, d)
+        assert not report.equal and report.containment_ok
+        assert report.witness == witness
+        assert report_tuple(report) == sums_power_vs_truncation(UNEQUAL.weights, 30, d)
+
+    def test_unequal_system_is_stable_from_60(self):
+        assert find_stable_b(UNEQUAL, 3, 8) == 60
+        assert find_stable_b(UNEQUAL, 2, 8) == 60 == sums_stable_b(UNEQUAL, 2, 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+        m=st.integers(1, 3),
+        d_max=st.integers(2, 3),
+        limit=st.integers(1, 3),
+    )
+    def test_find_stable_b_matches_a_per_d_loop(self, weights, m, d_max, limit):
+        assume(math.gcd(*weights) == 1)
+        assume(not sums_over(weights, limit * math.lcm(*weights), d_max))
+        system = WeightSystem(weights, m)
+        assert find_stable_b(system, d_max, limit) == sums_stable_b(system, d_max, limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7)), min_size=1, max_size=4),
+        lo=st.integers(0, 40),
+        width=st.integers(-2, 8),
+    )
+    def test_split_against_every_h(self, pairs, lo, width):
+        g, weights = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        hi = lo + width
+        h = _power_split(g, weights, lo, hi)
+        every_h = itertools.product(*(range(gi + 1) for gi in g))
+        exists = any(lo <= sum(map(operator.mul, x, weights)) <= hi for x in every_h)
+        assert (h is not None) == exists
+        if h is not None:
+            assert len(h) == len(g) and all(map(operator.le, h, g))
+            assert lo <= sum(map(operator.mul, h, weights)) <= hi
+
+    @pytest.mark.parametrize(
+        "bad_split",
+        [
+            lambda g: (0,) * len(g),  # weight below t
+            lambda g: g,  # leaves a rest of weight 0
+            lambda g: (g[0] + 1,) + g[1:],  # does not divide g
+            lambda g: g[:-1],  # wrong length
+        ],
+        ids=["light", "whole", "not-below-g", "short"],
+    )
+    def test_a_bad_split_is_caught(self, monkeypatch, bad_split):
+        monkeypatch.setattr(wideal_mod, "_power_split", lambda g, weights, lo, hi: bad_split(g))
+        with pytest.raises(InternalConsistencyError, match="split"):
+            product_vs_truncation(WeightSystem((2, 3), 1), 6, 2)
+        with pytest.raises(InternalConsistencyError, match="split"):
+            find_stable_b(WeightSystem((2, 3), 1), 2, 8)
 
 
 class TestFindStableB:
