@@ -151,6 +151,51 @@ def _render_text(value, prefix: str):
     return [f"{prefix[:-1]}: {value}"]
 
 
+def _first_clause(message: str) -> str:
+    return re.split("[:;]", message, maxsplit=1)[0]
+
+
+def _is_digit_limit_error(exc: ValueError) -> bool:
+    """Whether ``exc`` is the interpreter's int-to-str digit limit.
+
+    The reference is the error the interpreter itself raises for an integer
+    one digit past the limit, compared on its first clause (a later clause
+    may name the digit count), so the check follows the interpreter's wording.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    try:
+        str(10**limit)
+    except ValueError as own:
+        return _first_clause(str(exc)) == _first_clause(str(own))
+    return False
+
+
+def _too_long_report(command: str, input_echo: dict) -> Report:
+    refusal = OutOfDomainError(
+        f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+        " too long to be written as text"
+    )
+    return _error_report(command, input_echo, refusal)
+
+
+def _rendered(report: Report, render: Callable[[Report], str]) -> tuple:
+    """(report, render(report)), or the same for the out-of-domain report of a result too long to write.
+
+    Only a result integer past the interpreter's int-to-str limit fails to
+    render, so a command run from the command line pays no check besides
+    its one rendering.
+    """
+    try:
+        return report, render(report)
+    except ValueError as exc:
+        if not _is_digit_limit_error(exc):
+            raise
+    report = _too_long_report(report.command, report.input)
+    return report, render(report)
+
+
 def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
     error = {"kind": exc.kind, "message": str(exc)}
     if isinstance(exc, NotationError):
@@ -594,7 +639,11 @@ def validate_spec(spec: RunSpec) -> None:
 
 
 def run(spec: RunSpec) -> Report:
-    """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome."""
+    """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome.
+
+    A result holding an integer too long to write is refused where it is
+    rendered (``main``) or checked (``run_batch``), not here.
+    """
     input_echo = {"target": spec.target, "parameters": dict(sorted(spec.parameters.items()))}
     try:
         validate_spec(spec)
@@ -602,17 +651,12 @@ def run(spec: RunSpec) -> Report:
         target = command.target(spec.target) if command.target else None
         params = {p.name: p.default for p in command.params} | spec.parameters
         result, provenance, ok = command.handler(target, params)
-        json.dumps(result)  # refuse now a result that could not be rendered later
     except WblowError as exc:
         return _error_report(spec.command, input_echo, exc)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):  # not the int-to-str digit limit
+    except ValueError as exc:  # a rational or a message spelled with a too-long integer
+        if not _is_digit_limit_error(exc):
             raise
-        refusal = OutOfDomainError(
-            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
-            " too long to be written as text"
-        )
-        return _error_report(spec.command, input_echo, refusal)
+        return _too_long_report(spec.command, input_echo)
     return Report(
         command=spec.command,
         input=input_echo,
@@ -667,9 +711,12 @@ def run_batch(path: str) -> Report:
     reports = []
     for entry in entries:
         try:
-            reports.append(run(_spec_of_entry(entry)))
+            report = run(_spec_of_entry(entry))
         except InvalidInstanceError as exc:
             reports.append(_error_report("batch-entry", {"entry": repr(entry)}, exc))
+            continue
+        # each entry is rendered once here, so its status does not depend on the batch's format
+        reports.append(_rendered(report, lambda r: json.dumps(r.result))[0])
     statuses = {r.status for r in reports}
     status = next((s for s in ("error", "verification-failed") if s in statuses), "ok")
     return Report(
@@ -761,8 +808,8 @@ def main(argv=None) -> int:
             report = run_batch(args.path)
             rendered = report.to_json() if args.format == "json" else _batch_text(report)
         else:
-            report = run(spec_from_args(args))
-            rendered = report.to_json() if args.format == "json" else report.to_text()
+            render = Report.to_json if args.format == "json" else Report.to_text
+            report, rendered = _rendered(run(spec_from_args(args)), render)
     # a report with a result, a batch report included, is output; one without is an error
     stream = sys.stderr if report.result is None else sys.stdout
     try:

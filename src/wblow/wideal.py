@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul, sub
@@ -142,11 +143,12 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     entry's crossing inline.  A point s of weight W >= t is minimal iff its
     overshoot W - t is below min{a_i : s_i > 0}, an O(1) test; at the first
     crossing of entry i, W - a_i < t already holds, so only the entries
-    before i are tested.  The walk meets generators in lex order, and every
-    overshoot is below max(weights), so appending each generator to the row
-    of its overshoot and joining the rows sorts them by (weight, lex)
-    without a sort.  The budget still charges the nominal box, which never
-    shrinks as t grows.
+    before i are tested.  The walk meets generators in lex order, so
+    appending each generator to the row of its overshoot and joining the
+    rows in overshoot order sorts them by (weight, lex); only the distinct
+    overshoots are sorted, and the rows are keyed by overshoot, so their
+    storage follows the generators, not max(weights).  The budget still
+    charges the nominal box, which never shrinks as t grows.
     """
     n = len(weights)
     if t <= 0:
@@ -156,7 +158,7 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
         return ((ceil_div(t, weights[0]),),)
     a, b = weights[-2:]
     top = max(weights)
-    rows = [[] for _ in range(top)]  # rows[W - t]: the generators of weight W, in lex order
+    rows = defaultdict(list)  # rows[W - t]: the generators of weight W, in lex order
 
     def walk(p: tuple, rem: int, low: int) -> None:
         # rem = t - weight of the prefix p > 0; low = least weight at a nonzero entry of p
@@ -186,7 +188,7 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
             rows[-rem].append(p + (s, 0))
 
     walk((), t, top)  # top stands in for "no nonzero entry yet"
-    return tuple(itertools.chain.from_iterable(rows))
+    return tuple(itertools.chain.from_iterable(rows[o] for o in sorted(rows)))
 
 
 def ideal_generators(system: WeightSystem, k) -> WeightedIdeal:

@@ -79,6 +79,13 @@ class TestOtherCommands:
         report = run_ok("ideal", "1/1(2,3)", k="6")
         assert report.result["generators"] == [[0, 2], [3, 0], [2, 1]]
 
+    def test_ideal_with_a_weight_of_ten_digits(self):
+        # a box of 4 points: the answer must not cost anything per unit of the largest weight
+        start = time.perf_counter()
+        report = run_ok("ideal", "1/1(1,1000000000)", k="1")
+        assert time.perf_counter() - start < 5
+        assert report.result["generators"] == [[1, 0], [0, 1]]
+
     def test_wt(self):
         report = run_ok("wt", "1/2(1,1)", poly="x1^2+x2")
         assert report.result["weight"] == "1/2"
@@ -259,15 +266,25 @@ class TestBatch:
         ]
 
 
-    def test_over_long_results_are_entry_errors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_over_long_results_are_entry_errors(self, tmp_path, capsys, fmt):
         good = {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^9"}}
-        entries = [good, {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^" + NINES}}, good]
-        assert main(["batch", self._write(tmp_path, entries), "--format", "json"]) == 1
+        entries = [
+            good,
+            {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^" + NINES}},  # a weight
+            {"command": "wt", "target": f"1/1(1{'0' * 2200},1{'0' * 2199}1)", "parameters": {"poly": "x1"}},  # an lcm
+            good,
+        ]
+        assert main(["batch", self._write(tmp_path, entries), "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
+        if fmt == "text":  # the text summary renders no result, yet the entry fails as in JSON
+            lines = captured.out.splitlines()
+            assert "[1] wt: error (exit 1)" in lines and "[2] wt: error (exit 1)" in lines
+            return
         results = json.loads(captured.out)["result"]["results"]
-        assert [r["status"] for r in results] == ["ok", "error", "ok"]
-        assert results[1]["error"]["kind"] == "out-of-domain"
+        assert [r["status"] for r in results] == ["ok", "error", "error", "ok"]
+        assert [r["error"]["kind"] for r in results[1:3]] == ["out-of-domain"] * 2
         assert results[0]["result"]["weight"] == "81/1"
 
 
@@ -542,6 +559,22 @@ class TestMainEntry:
             "kind": "out-of-domain",
             "message": "the result holds an integer of more than 4300 digits, too long to be written as text",
         }
+
+    def test_over_long_integer_in_a_message_exits_1_with_report(self, capsys):
+        # lcm(weights)/m has 4,401 digits; the refusal of b spells it, which the interpreter refuses
+        target = f"1/1(1{'0' * 2200},1{'0' * 2199}1)"
+        assert main(["truncation", target, "--b", "1", "--d", "2", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "out-of-domain"
+
+    def test_other_value_errors_are_not_taken_for_the_digit_limit(self, monkeypatch):
+        import wblow.cli as cli_mod
+
+        def broken(f, system):
+            raise ValueError("an unrelated fault")
+
+        monkeypatch.setattr(cli_mod.wideal, "polynomial_weight", broken)
+        with pytest.raises(ValueError, match="an unrelated fault"):
+            main(["wt", "1/1(1,9)", "--poly", "x2", "--format", "json"])
 
     def test_over_long_budget_count_is_an_enumeration_limit(self, capsys):
         # the nominal box (10^4300)^2 is too long to print, so the refusal names its size in bits

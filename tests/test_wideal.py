@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
@@ -189,6 +190,17 @@ class TestIdealGenerators:
         assert minimal_generators_numerator(weights, t) == gens
         assert gens == staircase_min_gens(weights, t)
         assert set(gens) == brute_min_gens(weights, t)
+
+    def test_storage_follows_the_generators_not_the_largest_weight(self):
+        # the box (1 + 1) * (1 + 1) is tiny, so the walk must not allocate per unit of 10^6
+        tracemalloc.start()
+        try:
+            gens = minimal_generators_numerator((1, 10**6), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gens == ((1, 0), (0, 1))
+        assert peak < 100_000
 
     def test_generated_set_matches_definition(self):
         system = WeightSystem((2, 5), 3)
