@@ -15,10 +15,14 @@ wrong).
 The check walks no box.  With A the appended weight and delta = A - a*b,
 a prefix of weight W fails at degree d iff ceil(u/A) != max(1, ceil((u +
 delta)/A)) for u = d*b - W > min(a*b, A), and then the least element of
-W's residue class mod A in the semigroup of section weights fails too.  So
-only those class minima are scanned, from a table built once per (section
-weights, A) by the round-robin algorithm of Boecker and Liptak.  delta = 0
-empties the violating set, which is why derived instances pass.
+W's residue class mod A in the semigroup of section weights fails too.
+Whether W fails depends only on its residue: the failing residues at degree
+d are (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
+s = d*b + delta if delta < 0 (all of them once |delta| >= A).  So each degree
+looks up min(|delta|, A) entries of a table of class minima, built once per
+(section weights, A) by the round-robin algorithm of Boecker and Liptak.
+delta = 0 leaves no failing residue, so derived instances pass without the
+table being built.
 """
 
 from __future__ import annotations
@@ -135,13 +139,14 @@ class CheckReport:
 
 @functools.lru_cache(maxsize=64)
 def _class_minima(weights: tuple, modulus: int) -> tuple:
-    """Sorted least elements of the semigroup spanned by weights, one per residue mod modulus.
+    """Least element of the semigroup spanned by weights in each residue class mod modulus.
 
-    The round-robin shortest-path table of Boecker and Liptak, "A fast and
-    simple algorithm for the money changing problem", Algorithmica 48
-    (2007): each weight walks every cycle of residues once, starting from
-    the cycle's current minimum, in len(weights) * modulus steps.  Residues
-    that no sum reaches are left out.  Memoised, like ``blowup.chart``.
+    Entry r is the least sum of weights that is r mod modulus, and
+    ``math.inf`` when no sum is.  The round-robin shortest-path table of
+    Boecker and Liptak, "A fast and simple algorithm for the money changing
+    problem", Algorithmica 48 (2007): each weight walks every cycle of
+    residues once, starting from the cycle's current minimum, in
+    len(weights) * modulus steps.  Memoised, like ``blowup.chart``.
     """
     table = [math.inf] * modulus
     table[0] = 0
@@ -158,7 +163,7 @@ def _class_minima(weights: tuple, modulus: int) -> tuple:
                     best = table[r]
                 else:
                     table[r] = best
-    return tuple(sorted(v for v in table if v < math.inf))
+    return tuple(table)
 
 
 def _prefix_for_weight(weights, target):
@@ -181,32 +186,49 @@ def _prefix_for_weight(weights, target):
     return tuple(out)
 
 
-def _class_minima_for(inst: LiftInstance, degrees: int, what: str) -> tuple:
-    """The memoised residue table of the instance, charged for itself and the degree scans."""
+def _residue_table_for(inst: LiftInstance, degrees: int, what: str) -> tuple | None:
+    """The memoised residue table of the instance, charged for itself and the degree lookups.
+
+    The charge is the same whether or not the table is needed; with
+    delta = 0 no class is looked up, so None is returned and nothing is built.
+    """
     if inst.weights[:-1] != inst.base_weights:
         raise InternalConsistencyError("instance weights disagree with section weights")
     check_enum_budget((len(inst.base_weights) + degrees) * inst.lifted_weight, what)
+    if inst.lifted_weight == inst.multiplier * inst.step:
+        return None
     return _class_minima(inst.base_weights, inst.lifted_weight)
 
 
-def _violation(inst: LiftInstance, d: int, minima: tuple) -> Violation | None:
-    """The witness at the least violating class minimum, or None when degree d passes."""
+def _violation(inst: LiftInstance, d: int, table: tuple) -> Violation | None:
+    """The witness at the least failing class minimum, or None when degree d passes.
+
+    The failing classes are (s + j) mod A for j < min(|delta|, A), s = d*b
+    for delta > 0 and d*b + delta for delta < 0; a minimum mu in one of them
+    fails iff it lies below d*b - min(a*b, A).  The least such mu is
+    re-checked against the definition before its witness is built.
+    """
     a_n = inst.lifted_weight
     ab = inst.multiplier * inst.step
     delta = a_n - ab
     db = d * inst.step
-    bound = db - min(ab, a_n)
-    for w_prefix in minima:
-        if w_prefix >= bound:
-            return None
-        u = db - w_prefix
-        first_top = ceil_div(u, a_n)
-        first_shifted = max(1, ceil_div(u + delta, a_n))
-        if first_top != first_shifted:
-            break
+    start = (db if delta > 0 else db + delta) % a_n
+    end = start + min(abs(delta), a_n)
+    if end <= a_n:
+        w_prefix = min(table[start:end])
     else:
+        w_prefix = min(min(table[start:]), min(table[: end - a_n]))
+    if w_prefix >= db - min(ab, a_n):
         return None
 
+    u = db - w_prefix
+    first_top = ceil_div(u, a_n)
+    first_shifted = max(1, ceil_div(u + delta, a_n))
+    if first_top == first_shifted:
+        raise InternalConsistencyError(
+            f"class minimum {w_prefix} lies in a failing residue class at degree {d}"
+            " but satisfies the decomposition"
+        )
     s_n = min(first_top, first_shifted)
     monomial = _prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
     lower = (d - inst.multiplier) * inst.step
@@ -234,13 +256,18 @@ def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
     differ only when u > min(a*b, A).  Adding A to W lowers both by one, so
     if W fails, so does the least semigroup element of its class mod A: the
     degree fails iff a class minimum below d*b - min(a*b, A) fails, and the
-    witness is the lex-smallest prefix of the least such minimum.  delta = 0
-    empties the violating set, which is why derived instances pass; the
-    check still runs.  The budget is charged for the table and one scan.
+    witness is the lex-smallest prefix of the least such minimum.  Whether
+    a minimum fails depends only on its residue: the failing residues are
+    (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
+    s = d*b + delta if delta < 0, so only those table entries are looked up.
+    delta = 0 leaves no failing residue, so a derived instance passes
+    without the table being built; the budget is charged for the table and
+    one degree all the same.
     """
     if d < 1:
         raise InvalidInstanceError(f"d must be >= 1, got {d}")
-    v = _violation(inst, d, _class_minima_for(inst, 1, f"decomposition check at degree {d}"))
+    table = _residue_table_for(inst, 1, f"decomposition check at degree {d}")
+    v = None if table is None else _violation(inst, d, table)
     return CheckReport(inst, (d,), "fail" if v else "pass", v)
 
 
@@ -252,8 +279,10 @@ def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
     """
     if d_max < 1:
         raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
-    minima = _class_minima_for(inst, d_max, f"decomposition sweep to degree {d_max}")
-    v = next(filter(None, (_violation(inst, d, minima) for d in range(1, d_max + 1))), None)
+    table = _residue_table_for(inst, d_max, f"decomposition sweep to degree {d_max}")
+    v = None if table is None else next(
+        filter(None, (_violation(inst, d, table) for d in range(1, d_max + 1))), None
+    )
     return CheckReport(inst, tuple(range(1, d_max + 1)), "fail" if v else "pass", v)
 
 

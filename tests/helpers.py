@@ -6,7 +6,9 @@ definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
 for the integer-numerator ones; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue-table
-one; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
+one; ``scan_first_violation`` is the former sorted scan of the class minima,
+kept as the reference for the residue lookup at sizes the box engine cannot
+afford; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
 the reference for the Davenport-capped minimalization; ``staircase_min_gens``
 is the former recursive generator walk, kept as the reference for the flat
 one; ``sums_power_vs_truncation`` is the former d-fold-sum comparison of a
@@ -33,7 +35,7 @@ from wblow.errors import (
     InvalidInstanceError,
     UndefinedWeightError,
 )
-from wblow.lifting import CheckReport, LiftInstance, Violation
+from wblow.lifting import CheckReport, LiftInstance, Violation, _prefix_for_weight
 from wblow.notation import _Scanner
 from wblow.quotient import CyclicQuotientType, MonoidBasis, Polynomial
 from wblow.wideal import WeightSystem, minimal_generators_numerator
@@ -644,4 +646,71 @@ def box_first_violation(inst: LiftInstance, d_max: int) -> Violation | None:
         report = box_verify_decomposition(inst, d)
         if not report.passed:
             return report.counterexample
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The former sorted scan of the class minima
+
+
+def sorted_class_minima(weights: tuple, modulus: int) -> list:
+    """Sorted least elements of the semigroup spanned by weights, one per reached residue.
+
+    The round-robin table of Boecker and Liptak, as the library builds it,
+    with the unreached residues left out and the rest sorted.
+    """
+    table = [math.inf] * modulus
+    table[0] = 0
+    for w in weights:
+        g = math.gcd(w, modulus)
+        for start in range(g):
+            best = min(table[start::g])
+            if best == math.inf:
+                continue
+            for _ in range(modulus // g - 1):
+                best += w
+                r = best % modulus
+                if table[r] < best:
+                    best = table[r]
+                else:
+                    table[r] = best
+    return sorted(v for v in table if v < math.inf)
+
+
+def scan_first_violation(inst: LiftInstance, d_max: int, d_min: int = 1) -> Violation | None:
+    """Oracle: the witness at the first failing d in d_min..d_max, by scanning every class minimum.
+
+    For each degree the sorted minima below d*b - min(a*b, A) are tested
+    against the definition, ceil(u/A) != max(1, ceil((u + delta)/A)) with
+    u = d*b - mu, and the first failing one gives the witness.
+    """
+    a_n = inst.lifted_weight
+    ab = inst.multiplier * inst.step
+    delta = a_n - ab
+    minima = sorted_class_minima(inst.base_weights, a_n)
+    for d in range(d_min, d_max + 1):
+        db = d * inst.step
+        bound = db - min(ab, a_n)
+        for w_prefix in minima:
+            if w_prefix >= bound:
+                break
+            u = db - w_prefix
+            first_top = ceil_div(u, a_n)
+            first_shifted = max(1, ceil_div(u + delta, a_n))
+            if first_top == first_shifted:
+                continue
+            s_n = min(first_top, first_shifted)
+            monomial = _prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
+            lower = (d - inst.multiplier) * inst.step
+            lower_is_unit = (d - inst.multiplier) <= 0
+            total = w_prefix + s_n * a_n
+            in_top = total >= db
+            in_lower = lower_is_unit or (total - a_n) >= lower
+            explanation = (
+                f"at degree {d}: monomial {monomial} has weight {total};"
+                f" level-{db} membership is {in_top} but dividing by the last"
+                f" variable gives level-{lower if not lower_is_unit else 'unit'}"
+                f" membership {in_lower}"
+            )
+            return Violation(d, monomial, explanation)
     return None

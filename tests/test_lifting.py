@@ -1,11 +1,19 @@
 import itertools
+import json
 import math
 import random
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import box_first_violation, box_verify_decomposition, verify_generator_lift
+from helpers import (
+    box_first_violation,
+    box_verify_decomposition,
+    scan_first_violation,
+    verify_generator_lift,
+)
+from wblow.cli import REPORT_SCHEMA, main
 from wblow.errors import (
     EnumerationLimitError,
     InternalConsistencyError,
@@ -209,6 +217,98 @@ class TestAgainstBoxEngine:
         assert verify_decomposition(inst, d) == box_verify_decomposition(inst, d)
         if inst.is_derived:
             assert sweep.passed
+
+
+#: the largest section lcm the scan oracle is given; the table has up to 4 * 4 * LCM_CAP entries
+LCM_CAP = 420
+
+
+@st.composite
+def scan_cases(draw):
+    """(instance, d_max, d): section length 1-4, weights 1-60, multiplier 1-4,
+    the appended weight offset by delta in 1 - a*b .. 3*a*b (so the appended
+    weight runs from 1 to 4*a*b), sweeps to d_max <= 40.  A weight that would
+    push the section lcm past LCM_CAP is replaced by its gcd with the lcm so
+    far, which keeps the weight in 1-60 and the oracle's table small."""
+    base, lcm = [], 1
+    for w in draw(st.lists(st.integers(1, 60), min_size=1, max_size=4)):
+        if math.lcm(lcm, w) > LCM_CAP:
+            w = math.gcd(lcm, w)
+        base.append(w)
+        lcm = math.lcm(lcm, w)
+    a = draw(st.integers(1, 4))
+    inst = make_lift_instance(base, 1, a)
+    ab = a * inst.base_lcm
+    delta = draw(st.integers(1 - ab, 3 * ab))
+    if delta:
+        inst = mutated_instance(inst, delta)
+    d_max = draw(st.integers(1, 40))
+    return inst, d_max, draw(st.integers(1, d_max))
+
+
+class TestAgainstSortedScan:
+    """The residue lookup against the sorted scan of every class minimum it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    @example(lift_case((5,), 1, 0, 40, 40))  # appended weight 1, derived
+    @example(lift_case((2, 3), 2, -11, 40, 7))  # appended weight 1, |delta| > A
+    @example(lift_case((4, 6), 3, -15, 40, 5))  # |delta| = 5 A: every class fails
+    @example(lift_case((3, 4), 2, 24, 40, 9))  # delta = a*b: A = 2 a*b
+    @example(lift_case((3, 4), 2, 72, 40, 9))  # delta = 3 a*b
+    @example(lift_case((7, 11, 13), 1, 1, 40, 40))
+    @example(lift_case((7, 11, 13), 1, -1, 40, 40))
+    @example(lift_case((12, 20, 30), 4, -1, 40, 33))
+    def test_matches_sorted_scan(self, case):
+        inst, d_max, d = case
+        sweep = verify_decomposition_range(inst, d_max)
+        oracle = scan_first_violation(inst, d_max)
+        assert sweep.status == ("pass" if oracle is None else "fail")
+        assert sweep.counterexample == oracle  # failing d, witness monomial, explanation
+        assert verify_decomposition(inst, d).counterexample == scan_first_violation(inst, d, d)
+        if inst.is_derived:
+            assert sweep.passed
+
+
+class TestResidueCrossCheck:
+    """A table entry that lies about its class is caught by the re-check against the definition."""
+
+    @pytest.fixture
+    def lying_table(self, monkeypatch):
+        import wblow.lifting as lifting_mod
+
+        real = lifting_mod._class_minima
+
+        def altered(weights, modulus):
+            # sections (1, 2), a = 1, A = 3 (delta = +1): at d = 2 the failing
+            # class is 4 mod 3 = 1, whose least element 1 is replaced by 0,
+            # a value that satisfies the decomposition
+            table = list(real(weights, modulus))
+            table[1] = 0
+            return tuple(table)
+
+        monkeypatch.setattr(lifting_mod, "_class_minima", altered)
+        return mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
+
+    def test_unaltered_table_fails_at_degree_two(self):
+        inst = mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
+        assert verify_decomposition_range(inst, 6).counterexample.d == 2
+
+    def test_sweep_raises(self, lying_table):
+        with pytest.raises(InternalConsistencyError, match="class minimum 0"):
+            verify_decomposition_range(lying_table, 6)
+        with pytest.raises(InternalConsistencyError):
+            verify_decomposition(lying_table, 2)
+
+    def test_lift_check_exits_3_with_a_typed_report(self, lying_table, capsys):
+        argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "1"]
+        assert main(argv + ["--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["exit_code"] == 3 and payload["status"] == "error"
+        assert payload["error"]["kind"] == "internal-consistency"
 
 
 class TestVerifyGeneratorLift:
