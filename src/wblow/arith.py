@@ -90,6 +90,41 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
+def lex_least(weights: Sequence[int], caps: Sequence[int], lo: int, hi: int) -> ExpVec | None:
+    """The lexicographically least h <= caps with lo <= sum(h_i * weights_i) <= hi, or None.
+
+    A bounded subset sum on Python ints used as bitsets: bit w of a suffix
+    bitset says that the entries after some position, each within its cap,
+    can weigh w <= hi.  Each cap is split into pieces 1, 2, 4, ... and a
+    remainder (Martello & Toth, *Knapsack Problems*, 1990, section 3.2), so
+    about n * log2(max cap) shift-and-or steps build all the suffixes.  The
+    entries are then fixed one at a time from the first, each to the least
+    value that the suffix after it can still complete into [lo, hi].
+    """
+    if hi < max(lo, 0):
+        return None
+    full = (1 << (hi + 1)) - 1
+    suffixes = [1]  # suffixes[k]: the weights of the last k entries
+    for w, c in zip(reversed(weights[1:]), reversed(caps[1:])):
+        reach, c, k = suffixes[-1], min(c, hi // w), 1
+        while c:
+            k = min(k, c)
+            reach |= (reach << k * w) & full
+            c, k = c - k, k + k
+        suffixes.append(reach)
+    out = []
+    window = (1 << (hi - lo + 1)) - 1  # [lo, hi] keeps its width as entries are fixed
+    for w, c, reach in zip(weights, caps, reversed(suffixes)):
+        for t in range(min(c, hi // w) + 1):
+            if lo <= t * w or reach >> (lo - t * w) & window:  # every suffix reaches weight 0
+                break
+        else:
+            return None  # only the first entry can fail: later ones complete a feasible prefix
+        out.append(t)
+        lo, hi = lo - t * w, hi - t * w
+    return tuple(out)
+
+
 def max_enum_points() -> int:
     """Current enumeration budget, from WBLOW_MAX_ENUM or the default."""
     raw = os.environ.get("WBLOW_MAX_ENUM")

@@ -20,7 +20,7 @@ Whether W fails depends only on its residue: the failing residues at degree
 d are (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
 s = d*b + delta if delta < 0 (all of them once |delta| >= A).  So each degree
 looks up min(|delta|, A) entries of a table of class minima, built once per
-(section weights, A) by the round-robin algorithm of Boecker and Liptak.
+sweep by the round-robin algorithm of Boecker and Liptak and dropped with it.
 delta = 0 leaves no failing residue, so derived instances pass without the
 table being built.
 """
@@ -28,26 +28,27 @@ table being built.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
-from .arith import ceil_div, check_enum_budget, normalize_weights
+from .arith import ceil_div, check_enum_budget, lex_least, normalize_weights
 from .errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError
 from .quotient import CyclicQuotientType, HyperquotientType, lift_type
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LiftInstance:
     """Numeric data of one lifting step.
 
     ``base_weights`` is the section's weight vector (positive, gcd 1 after
     normalization, with the divided-out factor recorded); ``lifted_weight``
     is the appended weight, equal to multiplier * base_lcm for instances
-    built by :func:`make_lift_instance`; ``step`` is the grading step b.
+    built by :func:`make_lift_instance`.  The full weight vector
+    ``weights`` and the grading step b = ``step`` are derived from these.
     The record does not enforce lifted_weight = multiplier * base_lcm, so
     deliberately corrupted instances can be built for sensitivity studies;
-    see :func:`mutated_instance`.
+    see :func:`mutated_instance`.  A ``weights`` argument to the
+    constructor, as ``bench/selfcheck.py`` passes, is checked, not kept.
     """
 
     base_weights: tuple
@@ -56,22 +57,32 @@ class LiftInstance:
     normalization_factor: int
     base_lcm: int
     lifted_weight: int
-    weights: tuple
-    step: int
 
-    def __post_init__(self):
-        if self.multiplier < 1:
-            raise InvalidInstanceError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.m < 1:
-            raise InvalidInstanceError(f"group order must be >= 1, got {self.m}")
-        if self.lifted_weight < 1:
-            raise InvalidWeightsError(f"lifted weight must be positive, got {self.lifted_weight}")
-        if self.weights != self.base_weights + (self.lifted_weight,):
+    def __init__(self, base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight,
+                 weights=None):
+        if multiplier < 1:
+            raise InvalidInstanceError(f"multiplier must be >= 1, got {multiplier}")
+        if m < 1:
+            raise InvalidInstanceError(f"group order must be >= 1, got {m}")
+        if lifted_weight < 1:
+            raise InvalidWeightsError(f"lifted weight must be positive, got {lifted_weight}")
+        if weights is not None and weights != base_weights + (lifted_weight,):
             raise InternalConsistencyError("weights must be base_weights plus the lifted weight")
+        values = (base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight)
+        for name, value in zip(self.__slots__, values):  # the fields, in order
+            object.__setattr__(self, name, value)
+
+    @property
+    def weights(self) -> tuple:
+        return self.base_weights + (self.lifted_weight,)
+
+    @property
+    def step(self) -> int:
+        return self.base_lcm
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.base_weights) + 1
 
     @property
     def is_derived(self) -> bool:
@@ -95,8 +106,6 @@ def make_lift_instance(base_weights, m: int, multiplier: int) -> LiftInstance:
         normalization_factor=factor,
         base_lcm=base_lcm,
         lifted_weight=lifted,
-        weights=reduced + (lifted,),
-        step=base_lcm,
     )
 
 
@@ -107,9 +116,7 @@ def mutated_instance(inst: LiftInstance, delta: int) -> LiftInstance:
     value = inst.multiplier * inst.base_lcm + delta
     if value < 1:
         raise InvalidInstanceError(f"mutated lifted weight {value} is not a positive weight")
-    return dataclasses.replace(
-        inst, lifted_weight=value, weights=inst.base_weights + (value,)
-    )
+    return dataclasses.replace(inst, lifted_weight=value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +131,7 @@ class Violation:
 @dataclass(frozen=True, slots=True)
 class CheckReport:
     instance: LiftInstance
-    d_range: tuple
+    d_range: range
     status: str  # "pass" | "fail"
     counterexample: Violation | None
 
@@ -137,8 +144,7 @@ class CheckReport:
         return self.status == "pass"
 
 
-@functools.lru_cache(maxsize=64)
-def _class_minima(weights: tuple, modulus: int) -> tuple:
+def _class_minima(weights: tuple, modulus: int) -> list:
     """Least element of the semigroup spanned by weights in each residue class mod modulus.
 
     Entry r is the least sum of weights that is r mod modulus, and
@@ -146,7 +152,7 @@ def _class_minima(weights: tuple, modulus: int) -> tuple:
     Boecker and Liptak, "A fast and simple algorithm for the money changing
     problem", Algorithmica 48 (2007): each weight walks every cycle of
     residues once, starting from the cycle's current minimum, in
-    len(weights) * modulus steps.  Memoised, like ``blowup.chart``.
+    len(weights) * modulus steps.
     """
     table = [math.inf] * modulus
     table[0] = 0
@@ -163,55 +169,22 @@ def _class_minima(weights: tuple, modulus: int) -> tuple:
                     best = table[r]
                 else:
                     table[r] = best
-    return tuple(table)
+    return table
 
 
-def _prefix_for_weight(weights, target):
-    """Lexicographically smallest exponent vector with the given weight."""
-    full = (1 << (target + 1)) - 1
-    masks = [1]  # masks[k] has bit W set iff W <= target is a sum of the last k weights
-    for w in reversed(weights[1:]):
-        acc, shift = masks[-1], w
-        while shift <= target:  # after k rounds each exponent runs over [0, 2^k)
-            acc |= (acc << shift) & full
-            shift *= 2
-        masks.append(acc)
-    out, rem = [], target
-    for w, mask in zip(weights, reversed(masks)):
-        t = next((t for t in range(rem // w + 1) if (mask >> (rem - t * w)) & 1), None)
-        if t is None:
-            raise InternalConsistencyError(f"weight {target} marked achievable but not realizable")
-        out.append(t)
-        rem -= t * w
-    return tuple(out)
-
-
-def _residue_table_for(inst: LiftInstance, degrees: int, what: str) -> tuple | None:
-    """The memoised residue table of the instance, charged for itself and the degree lookups.
-
-    The charge is the same whether or not the table is needed; with
-    delta = 0 no class is looked up, so None is returned and nothing is built.
-    """
-    if inst.weights[:-1] != inst.base_weights:
-        raise InternalConsistencyError("instance weights disagree with section weights")
-    check_enum_budget((len(inst.base_weights) + degrees) * inst.lifted_weight, what)
-    if inst.lifted_weight == inst.multiplier * inst.step:
-        return None
-    return _class_minima(inst.base_weights, inst.lifted_weight)
-
-
-def _violation(inst: LiftInstance, d: int, table: tuple) -> Violation | None:
+def _violation(inst: LiftInstance, d: int, table: list) -> Violation | None:
     """The witness at the least failing class minimum, or None when degree d passes.
 
     The failing classes are (s + j) mod A for j < min(|delta|, A), s = d*b
     for delta > 0 and d*b + delta for delta < 0; a minimum mu in one of them
     fails iff it lies below d*b - min(a*b, A).  The least such mu is
-    re-checked against the definition before its witness is built.
+    re-checked against the definition; the witness prefix is the
+    lexicographically least one of weight mu, from ``arith.lex_least``.
     """
     a_n = inst.lifted_weight
-    ab = inst.multiplier * inst.step
+    ab = inst.multiplier * inst.base_lcm
     delta = a_n - ab
-    db = d * inst.step
+    db = d * inst.base_lcm
     start = (db if delta > 0 else db + delta) % a_n
     end = start + min(abs(delta), a_n)
     if end <= a_n:
@@ -230,8 +203,12 @@ def _violation(inst: LiftInstance, d: int, table: tuple) -> Violation | None:
             " but satisfies the decomposition"
         )
     s_n = min(first_top, first_shifted)
-    monomial = _prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
-    lower = (d - inst.multiplier) * inst.step
+    caps = [w_prefix // w for w in inst.base_weights]
+    prefix = lex_least(inst.base_weights, caps, w_prefix, w_prefix)
+    if prefix is None:
+        raise InternalConsistencyError(f"weight {w_prefix} marked achievable but not realizable")
+    monomial = prefix + (s_n,)
+    lower = (d - inst.multiplier) * inst.base_lcm
     lower_is_unit = (d - inst.multiplier) <= 0
     total = w_prefix + s_n * a_n
     in_top = total >= db
@@ -245,30 +222,39 @@ def _violation(inst: LiftInstance, d: int, table: tuple) -> Violation | None:
     return Violation(d, monomial, explanation)
 
 
+def _sweep(inst: LiftInstance, degrees: range, what: str) -> CheckReport:
+    """Check the degrees in order up to the first failing one, charged (n - 1 + degrees) * A.
+
+    The degrees are counted from the range's bounds: ``len`` overflows past
+    ``sys.maxsize``.  With delta = 0 nothing is built, charged all the same.
+    """
+    steps = (len(inst.base_weights) + degrees.stop - degrees.start) * inst.lifted_weight
+    check_enum_budget(steps, what)
+    if inst.is_derived:
+        return CheckReport(inst, degrees, "pass", None)
+    table = _class_minima(inst.base_weights, inst.lifted_weight)
+    v = next(filter(None, (_violation(inst, d, table) for d in degrees)), None)
+    return CheckReport(inst, degrees, "fail" if v else "pass", v)
+
+
 def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
     """Check the two-sided monomial decomposition at degree d.
 
     An exponent vector s with s_n >= 1 must lie in N(d*b) iff s - e_n lies in
     N((d - a)*b), the unit ideal when d <= a (for s_n = 0 both sides compare
-    the same weighted sum once the weight vectors agree, checked up front).
-    For a prefix of weight W, u = d*b - W and delta = A - a*b, the least
-    s_n on each side is ceil(u/A) and max(1, ceil((u + delta)/A)); they can
-    differ only when u > min(a*b, A).  Adding A to W lowers both by one, so
-    if W fails, so does the least semigroup element of its class mod A: the
-    degree fails iff a class minimum below d*b - min(a*b, A) fails, and the
-    witness is the lex-smallest prefix of the least such minimum.  Whether
-    a minimum fails depends only on its residue: the failing residues are
-    (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
-    s = d*b + delta if delta < 0, so only those table entries are looked up.
-    delta = 0 leaves no failing residue, so a derived instance passes
-    without the table being built; the budget is charged for the table and
-    one degree all the same.
+    the same weighted sum, the section's weights being the first entries of
+    the full ones).  For a prefix of weight W, u = d*b - W and
+    delta = A - a*b, the least s_n on each side is ceil(u/A) and
+    max(1, ceil((u + delta)/A)); they can differ only when
+    u > min(a*b, A).  Adding A to W lowers both by one, so if W fails, so
+    does the least semigroup element of its class mod A: the degree fails
+    iff a class minimum below d*b - min(a*b, A) fails, and the witness is
+    the lex-smallest prefix of the least such minimum.  Which classes can
+    fail, and so which table entries are looked up, is in ``_violation``.
     """
     if d < 1:
         raise InvalidInstanceError(f"d must be >= 1, got {d}")
-    table = _residue_table_for(inst, 1, f"decomposition check at degree {d}")
-    v = None if table is None else _violation(inst, d, table)
-    return CheckReport(inst, (d,), "fail" if v else "pass", v)
+    return _sweep(inst, range(d, d + 1), f"decomposition check at degree {d}")
 
 
 def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
@@ -279,11 +265,7 @@ def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
     """
     if d_max < 1:
         raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
-    table = _residue_table_for(inst, d_max, f"decomposition sweep to degree {d_max}")
-    v = None if table is None else next(
-        filter(None, (_violation(inst, d, table) for d in range(1, d_max + 1))), None
-    )
-    return CheckReport(inst, tuple(range(1, d_max + 1)), "fail" if v else "pass", v)
+    return _sweep(inst, range(1, d_max + 1), f"decomposition sweep to degree {d_max}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul, sub
 
-from .arith import ceil_div, check_enum_budget, lcm_of, minimalize, normalize_weights
+from .arith import ceil_div, check_enum_budget, lcm_of, lex_least, minimalize, normalize_weights
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -247,16 +247,8 @@ def _power_split(g: tuple, weights: tuple, lo: int, hi: int):
 
     The prefix split comes first: whole entries of g until the next one
     crosses lo, and that one only as far as the crossing; it answers most
-    calls.  Otherwise a bounded subset sum on a Python int used as a bitset
-    decides: bit w of ``reach`` says that some h <= g made of the pieces so
-    far weighs w.  Entry i's multiplicity g_i is split into pieces 1, 2, 4,
-    ... and a remainder (Martello & Toth, *Knapsack Problems*, 1990, section
-    3.2), so about n * log2(max g_i) shift-and-or steps suffice.  The bitset
-    before each piece is kept, and the least reachable weight in [lo, hi] is
-    traced back through them to an explicit h.
+    calls.  Otherwise the bounded subset sum ``arith.lex_least`` decides.
     """
-    if hi < lo:
-        return None
     rem = lo
     for i, (gi, a) in enumerate(zip(g, weights)):
         if gi * a >= rem:
@@ -265,27 +257,7 @@ def _power_split(g: tuple, weights: tuple, lo: int, hi: int):
                 return g[:i] + (x,) + (0,) * (len(g) - 1 - i)
             break
         rem -= gi * a
-    cap = (1 << (hi + 1)) - 1
-    reach = 1
-    pieces = []  # (entry, copies, reach before the piece)
-    for i, (gi, a) in enumerate(zip(g, weights)):
-        k = 1
-        while gi:
-            k = min(k, gi)
-            pieces.append((i, k, reach))
-            reach = (reach | reach << k * a) & cap
-            gi -= k
-            k += k
-    window = reach >> lo
-    if not window:
-        return None
-    w = lo + (window & -window).bit_length() - 1
-    h = [0] * len(g)
-    for i, k, before in reversed(pieces):
-        if not before >> w & 1:
-            h[i] += k
-            w -= k * weights[i]
-    return tuple(h)
+    return lex_least(weights, g, lo, hi)
 
 
 def _first_power_gap(weights: tuple, t: int, d: int, top: tuple | None = None):
@@ -297,8 +269,8 @@ def _first_power_gap(weights: tuple, t: int, d: int, top: tuple | None = None):
     in that product iff some h <= g has W(h) >= t and W(g - h) >= (j-1)t,
     that is t <= W(h) <= W(g) - (j-1)t.  Each h that ``_power_split``
     returns is checked against this definition, a second route apart from the
-    bitset.  Each level is built once; ``top`` is the level-d generators when
-    the caller has them already.
+    subset sum.  Each level is built once; ``top`` is the level-d generators
+    when the caller has them already.
     """
     for j in range(2, d + 1):
         rest = (j - 1) * t
@@ -325,19 +297,26 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
     Equality and the witness come from the membership sweep.  When it finds
     the two ideals equal, the power's minimal generators are the
     truncation's, given in the (total degree, lex) order of ``minimalize``;
-    otherwise the power is built from d-fold sums, and its containment and
-    first missing truncation generator are checked against the sweep.
+    otherwise the power is built from d-fold sums of the level-b generators,
+    walked only then, and its containment and first missing truncation
+    generator are checked against the sweep.
     """
     weights, n = system.weights, system.n
-    base = minimal_generators_numerator(weights, t_b)
-    trunc = minimal_generators_numerator(weights, d * t_b)
-    if any(len(g) != n for g in base + trunc):  # once per call, not once per pair
-        raise DimensionError(f"generators do not all have length {n}")
+
+    def generators(t: int) -> tuple:
+        gens = minimal_generators_numerator(weights, t)
+        if any(len(g) != n for g in gens):  # once per level, not once per pair
+            raise DimensionError(f"generators do not all have length {n}")
+        return gens
+
+    check_box_budget(weights, t_b)  # charged first, so a refusal names it whichever branch runs
+    trunc = generators(d * t_b)
     gap = _first_power_gap(weights, t_b, d, trunc)
     if gap is None:
         return trunc, tuple(sorted(trunc, key=lambda e: (sum(e), e))), True, None, True
 
     # the C(G + d - 1, d) d-fold sums of the G base generators, charged before any is built
+    base = generators(t_b)
     check_enum_budget(math.comb(len(base) + d - 1, d), "d-fold products of generators")
     power = minimalize(
         tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(base, d)

@@ -8,10 +8,12 @@ for the integer-numerator ones; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue-table
 one; ``scan_first_violation`` is the former sorted scan of the class minima,
 kept as the reference for the residue lookup at sizes the box engine cannot
-afford; ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as
-the reference for the Davenport-capped minimalization; ``staircase_min_gens``
-is the former recursive generator walk, kept as the reference for the flat
-one; ``sums_power_vs_truncation`` is the former d-fold-sum comparison of a
+afford, and it builds its witnesses with ``prefix_for_weight``, the former
+witness builder, kept as the reference for ``arith.lex_least``;
+``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as the
+reference for the Davenport-capped minimalization; ``staircase_min_gens`` is
+the former recursive generator walk, kept as the reference for the flat one;
+``sums_power_vs_truncation`` is the former d-fold-sum comparison of a
 power with a truncation, kept as the reference for the membership sweep;
 ``scanner_parse_polynomial`` is the former character-by-character
 polynomial parser, kept as the reference for the term-at-a-time one.
@@ -35,7 +37,7 @@ from wblow.errors import (
     InvalidInstanceError,
     UndefinedWeightError,
 )
-from wblow.lifting import CheckReport, LiftInstance, Violation, _prefix_for_weight
+from wblow.lifting import CheckReport, LiftInstance, Violation
 from wblow.notation import _Scanner
 from wblow.quotient import CyclicQuotientType, MonoidBasis, Polynomial
 from wblow.wideal import WeightSystem, minimal_generators_numerator
@@ -538,14 +540,14 @@ def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
     candidate = minimalize(shifted + embedded)
 
     if set(top) == set(candidate):
-        return CheckReport(inst, (d,), "pass", None)
+        return CheckReport(inst, range(d, d + 1), "pass", None)
     diff = sorted(set(top) ^ set(candidate))
     witness = diff[0]
     side = "the level ideal" if witness in set(top) else "the rebuilt decomposition"
     explanation = (
         f"at degree {d}: generator sets differ; {witness} appears only in {side}"
     )
-    return CheckReport(inst, (d,), "fail", Violation(d, witness, explanation))
+    return CheckReport(inst, range(d, d + 1), "fail", Violation(d, witness, explanation))
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +637,9 @@ def box_verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
                 f" variable gives level-{lower if not lower_is_unit else 'unit'}"
                 f" membership {in_lower}"
             )
-            return CheckReport(inst, (d,), "fail", Violation(d, monomial, explanation))
+            return CheckReport(inst, range(d, d + 1), "fail", Violation(d, monomial, explanation))
 
-    return CheckReport(inst, (d,), "pass", None)
+    return CheckReport(inst, range(d, d + 1), "pass", None)
 
 
 def box_first_violation(inst: LiftInstance, d_max: int) -> Violation | None:
@@ -651,6 +653,26 @@ def box_first_violation(inst: LiftInstance, d_max: int) -> Violation | None:
 
 # ---------------------------------------------------------------------------
 # The former sorted scan of the class minima
+
+
+def prefix_for_weight(weights, target):
+    """Lexicographically smallest exponent vector with the given weight."""
+    full = (1 << (target + 1)) - 1
+    masks = [1]  # masks[k] has bit W set iff W <= target is a sum of the last k weights
+    for w in reversed(weights[1:]):
+        acc, shift = masks[-1], w
+        while shift <= target:  # after k rounds each exponent runs over [0, 2^k)
+            acc |= (acc << shift) & full
+            shift *= 2
+        masks.append(acc)
+    out, rem = [], target
+    for w, mask in zip(weights, reversed(masks)):
+        t = next((t for t in range(rem // w + 1) if (mask >> (rem - t * w)) & 1), None)
+        if t is None:
+            raise InternalConsistencyError(f"weight {target} marked achievable but not realizable")
+        out.append(t)
+        rem -= t * w
+    return tuple(out)
 
 
 def sorted_class_minima(weights: tuple, modulus: int) -> list:
@@ -700,7 +722,7 @@ def scan_first_violation(inst: LiftInstance, d_max: int, d_min: int = 1) -> Viol
             if first_top == first_shifted:
                 continue
             s_n = min(first_top, first_shifted)
-            monomial = _prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
+            monomial = prefix_for_weight(inst.base_weights, w_prefix) + (s_n,)
             lower = (d - inst.multiplier) * inst.step
             lower_is_unit = (d - inst.multiplier) <= 0
             total = w_prefix + s_n * a_n

@@ -1,15 +1,20 @@
+import itertools
+import operator
+
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import prefix_for_weight
 from wblow.arith import (
     divides,
     expvec,
     lcm_of,
+    lex_least,
     normalize_weights,
     vec_add,
 )
-from wblow.errors import DimensionError, InvalidWeightsError
+from wblow.errors import DimensionError, InternalConsistencyError, InvalidWeightsError
 
 
 class TestNormalizeWeights:
@@ -66,6 +71,41 @@ class TestDivides:
             assert s == t
         if divides(s, t) and divides(t, u):
             assert divides(s, u)
+
+
+entries = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 6)), min_size=1, max_size=4)
+
+
+class TestLexLeast:
+    """The bounded subset sum against the whole box h <= caps and the former witness builder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=entries, lo=st.integers(-5, 60), width=st.integers(-3, 20))
+    @example(pairs=[(2, 3), (3, 3)], lo=7, width=-1)  # hi < lo
+    @example(pairs=[(2, 3), (3, 3)], lo=-4, width=6)  # lo <= 0: the zero vector
+    @example(pairs=[(2, 3), (3, 3)], lo=-4, width=2)  # hi < 0
+    @example(pairs=[(1, 0), (5, 2)], lo=3, width=0)  # a zero cap
+    @example(pairs=[(4, 6)], lo=9, width=3)  # a single entry
+    @example(pairs=[(3, 6), (2, 6)], lo=5, width=0)  # caps above hi // w
+    def test_matches_the_box(self, pairs, lo, width):
+        weights, caps = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        hi = lo + width
+        box = itertools.product(*(range(c + 1) for c in caps))  # in lexicographic order
+        fits = (h for h in box if lo <= sum(map(operator.mul, h, weights)) <= hi)
+        assert lex_least(weights, caps, lo, hi) == next(fits, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple),
+           target=st.integers(0, 60))
+    @example(weights=(5,), target=10)
+    @example(weights=(4, 6), target=7)  # not a sum of the weights
+    def test_matches_the_former_witness_builder(self, weights, target):
+        got = lex_least(weights, [target // w for w in weights], target, target)
+        if got is None:
+            with pytest.raises(InternalConsistencyError):
+                prefix_for_weight(weights, target)
+        else:
+            assert got == prefix_for_weight(weights, target)
 
 
 class TestExpVec:

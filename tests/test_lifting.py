@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -172,6 +173,12 @@ class TestVerifyDecomposition:
         with pytest.raises(EnumerationLimitError):
             verify_decomposition_range(inst, 10**12)
 
+    def test_sweep_past_sys_maxsize_is_refused(self, monkeypatch):
+        # the degree count comes from the range's bounds; len() would overflow
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        with pytest.raises(EnumerationLimitError):
+            verify_decomposition_range(make_lift_instance((1, 2), 1, 1), 2**70)
+
     def test_report_invariant(self):
         inst = make_lift_instance((1, 1), 1, 1)
         with pytest.raises(InternalConsistencyError):
@@ -212,7 +219,7 @@ class TestAgainstBoxEngine:
         sweep = verify_decomposition_range(inst, d_max)
         oracle = box_first_violation(inst, d_max)
         assert sweep.status == ("pass" if oracle is None else "fail")
-        assert sweep.d_range == tuple(range(1, d_max + 1))
+        assert tuple(sweep.d_range) == tuple(range(1, d_max + 1))
         assert sweep.counterexample == oracle  # failing d, witness monomial, explanation
         assert verify_decomposition(inst, d) == box_verify_decomposition(inst, d)
         if inst.is_derived:
@@ -309,6 +316,37 @@ class TestResidueCrossCheck:
         jsonschema.validate(payload, REPORT_SCHEMA)
         assert payload["exit_code"] == 3 and payload["status"] == "error"
         assert payload["error"]["kind"] == "internal-consistency"
+
+
+def traced(run):
+    """(memory still held after run(), peak during it), in bytes, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before, peak - before
+
+
+class TestMemory:
+    """A sweep keeps nothing once it returns, and holds its degrees as a range."""
+
+    def test_residue_table_is_dropped(self, monkeypatch):
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        inst = mutated_instance(make_lift_instance((211, 223), 1, 1), 1)  # A = 47,054
+        kept, peak = traced(lambda: verify_decomposition_range(inst, 1))
+        assert peak > 1_000_000  # the table was built
+        assert kept < 500_000
+
+    def test_long_sweep_holds_no_list_of_degrees(self, monkeypatch):
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        inst = make_lift_instance((1,), 1, 1)
+        reports = []
+        _, peak = traced(lambda: reports.append(verify_decomposition_range(inst, 10**6)))
+        assert peak < 1_000_000
+        assert reports[0].passed and reports[0].d_range == range(1, 10**6 + 1)
 
 
 class TestVerifyGeneratorLift:
