@@ -240,15 +240,13 @@ def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int)
     the chart's barred coordinate (the local equation of the divisor) over
     the support.  The result must equal the weight valuation computed
     directly; the two routes are compared and a mismatch raises, since they
-    agree by construction.
+    agree by construction.  The direct route, run first, is the one check
+    that f is nonzero and has the system's number of variables.
     """
-    if f.is_zero:
-        raise UndefinedWeightError("the zero polynomial has no vanishing order")
+    direct = weight_numerator(f, system)
     ch = chart(system, chart_index)
-    _check_nvars(f, ch)
     column = [row[chart_index - 1] for row in ch.numerators]
     order = min(sum(map(mul, s, column)) for s in f.support())
-    direct = weight_numerator(f, system)
     if order != direct:
         raise InternalConsistencyError(
             f"chart {chart_index} reads vanishing order {Fraction(order, ch.m)} but the weight"

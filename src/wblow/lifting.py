@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import ceil_div, check_enum_budget, lex_least, normalize_weights
-from .errors import InternalConsistencyError, InvalidInstanceError, InvalidWeightsError
+from .errors import InternalConsistencyError, InvalidInstanceError
 from .quotient import CyclicQuotientType, HyperquotientType, lift_type
 
 
@@ -42,13 +42,12 @@ class LiftInstance:
 
     ``base_weights`` is the section's weight vector (positive, gcd 1 after
     normalization, with the divided-out factor recorded); ``lifted_weight``
-    is the appended weight, equal to multiplier * base_lcm for instances
-    built by :func:`make_lift_instance`.  The full weight vector
-    ``weights`` and the grading step b = ``step`` are derived from these.
-    The record does not enforce lifted_weight = multiplier * base_lcm, so
-    deliberately corrupted instances can be built for sensitivity studies;
-    see :func:`mutated_instance`.  A ``weights`` argument to the
-    constructor, as ``bench/selfcheck.py`` passes, is checked, not kept.
+    is the appended weight, multiplier * base_lcm unless mutated.  The full
+    weight vector ``weights`` and the grading step b = ``step`` are derived.
+    The constructor is the one check of the group order, the multiplier and
+    the lifted weight, but does not enforce lifted_weight = multiplier *
+    base_lcm, so that :func:`mutated_instance` can corrupt it.  A ``weights``
+    argument, as ``bench/selfcheck.py`` passes, is checked, not kept.
     """
 
     base_weights: tuple
@@ -60,12 +59,14 @@ class LiftInstance:
 
     def __init__(self, base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight,
                  weights=None):
-        if multiplier < 1:
-            raise InvalidInstanceError(f"multiplier must be >= 1, got {multiplier}")
-        if m < 1:
-            raise InvalidInstanceError(f"group order must be >= 1, got {m}")
+        if not isinstance(m, int) or m < 1:
+            raise InvalidInstanceError(f"group order must be a positive integer, got {m!r}")
+        if not isinstance(multiplier, int) or multiplier < 1:
+            raise InvalidInstanceError(f"multiplier must be a positive integer, got {multiplier!r}")
         if lifted_weight < 1:
-            raise InvalidWeightsError(f"lifted weight must be positive, got {lifted_weight}")
+            raise InvalidInstanceError(
+                f"mutated lifted weight {lifted_weight} is not a positive weight"
+            )
         if weights is not None and weights != base_weights + (lifted_weight,):
             raise InternalConsistencyError("weights must be base_weights plus the lifted weight")
         values = (base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight)
@@ -91,32 +92,27 @@ class LiftInstance:
 
 
 def make_lift_instance(base_weights, m: int, multiplier: int) -> LiftInstance:
-    """Build the instance with the forced lifted weight multiplier * lcm(base)."""
+    """Normalize the base weights and append the forced weight multiplier * lcm(base).
+
+    The group order and the multiplier are checked by the constructor.
+    """
     reduced, factor = normalize_weights(base_weights)
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInstanceError(f"group order must be a positive integer, got {m!r}")
-    if not isinstance(multiplier, int) or multiplier < 1:
-        raise InvalidInstanceError(f"multiplier must be a positive integer, got {multiplier!r}")
     base_lcm = math.lcm(*reduced)
-    lifted = multiplier * base_lcm
     return LiftInstance(
         base_weights=reduced,
         m=m,
         multiplier=multiplier,
         normalization_factor=factor,
         base_lcm=base_lcm,
-        lifted_weight=lifted,
+        lifted_weight=multiplier * base_lcm,
     )
 
 
 def mutated_instance(inst: LiftInstance, delta: int) -> LiftInstance:
-    """Copy of the instance with the lifted weight offset by delta (sensitivity studies)."""
+    """Copy with the lifted weight offset by delta; the constructor refuses a non-positive one."""
     if delta == 0:
         raise InvalidInstanceError("delta 0 is not a mutation")
-    value = inst.multiplier * inst.base_lcm + delta
-    if value < 1:
-        raise InvalidInstanceError(f"mutated lifted weight {value} is not a positive weight")
-    return dataclasses.replace(inst, lifted_weight=value)
+    return dataclasses.replace(inst, lifted_weight=inst.multiplier * inst.base_lcm + delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,11 +294,11 @@ class MutationStudy:
         return sum(1 for o in self.outcomes if o.first_failing_d is not None)
 
 
-def mutation_study(inst: LiftInstance, d_max: int, radius: int = 3) -> MutationStudy:
-    """Mutate the lifted weight by every nonzero offset within the radius and sweep d."""
+def mutation_study(inst: LiftInstance, d_max: int) -> MutationStudy:
+    """Offset the lifted weight by each of -3..-1 and 1..3 that keeps it positive, and sweep d."""
     outcomes = []
-    for delta in range(-radius, radius + 1):
-        if delta == 0 or inst.multiplier * inst.base_lcm + delta < 1:
+    for delta in (-3, -2, -1, 1, 2, 3):
+        if inst.multiplier * inst.base_lcm + delta < 1:
             continue
         mut = mutated_instance(inst, delta)
         failure = verify_decomposition_range(mut, d_max).counterexample
@@ -359,7 +355,7 @@ def chain_report(
         )
     m = start.ambient.m
     current_type = start.ambient
-    current_weights = tuple(((w - 1) % m) + 1 for w in current_type.weights)
+    initial_weights = current_weights = tuple(((w - 1) % m) + 1 for w in current_type.weights)
 
     notes = [
         "initial blow-up weights are the positive representatives in [1, m]"
@@ -395,7 +391,7 @@ def chain_report(
     return ChainReport(
         start=start,
         initial_type=start.ambient,
-        initial_weights=tuple(((w - 1) % m) + 1 for w in start.ambient.weights),
+        initial_weights=initial_weights,
         d_max=d_max,
         stages=tuple(stages),
         status=status,

@@ -26,6 +26,7 @@ from .quotient import CyclicQuotientType, HyperquotientType, Polynomial
 from .wideal import WeightSystem
 
 _DIGITS = re.compile(r"[0-9]+")
+_BRACES = re.compile(r"[{}]")
 # One factor: an optional '*', then 'x', its index token (group 1: a digit
 # 1-9 in group 2, or braced digits in group 3) and an optional power (group 4).
 _FACTOR = re.compile(r"\s*\*?\s*x\s*(([1-9])|\{\s*([0-9]+)\s*\})(?:\s*\^\s*([0-9]+))?")
@@ -112,12 +113,16 @@ def parse_singularity(text: str):
         sc.expect("g")
         sc.expect("=")
         sc.skip_ws()
-        brace = text.find("}", sc.pos)
-        if brace < 0:
+        depth = 1  # the body ends at the '}' that balances '{g=': an index x{10} is its own pair
+        for close in _BRACES.finditer(text, sc.pos):
+            depth += 1 if close.group() == "{" else -1
+            if not depth:
+                break
+        else:
             sc.error("missing closing '}' after the equation", at=len(text))
-        body = text[sc.pos : brace]
+        body = text[sc.pos : close.start()]
         g = parse_polynomial(body, nvars=len(weights), offset=sc.pos)
-        sc.pos = brace + 1
+        sc.pos = close.end()
         if not sc.at_end():
             sc.error("trailing input after the hyperquotient")
         return HyperquotientType(CyclicQuotientType(m, tuple(weights)), g, e)

@@ -62,10 +62,6 @@ class Polynomial:
         return cls(nvars, ())
 
     @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         """The coordinate x_index (1-based)."""
         if not 1 <= index <= nvars:
@@ -403,9 +399,6 @@ class ActionLiftReport:
     group_order: int
     induced: tuple
     expected: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 def action_lift_check(r: int, m: int, a: int) -> ActionLiftReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul, sub
 
-from .arith import ceil_div, check_enum_budget, lcm_of, lex_least, minimalize, normalize_weights
+from .arith import ceil_div, check_enum_budget, lex_least, minimalize, normalize_weights
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -44,14 +44,10 @@ class WeightSystem:
 
     def __post_init__(self):
         ws = tuple(self.weights)
-        if not ws:
-            raise InvalidWeightsError("at least one weight is required")
-        for w in ws:
-            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
-                raise InvalidWeightsError(f"weights must be positive integers, got {w!r}")
-        if math.gcd(*ws) != 1:
+        _, g = normalize_weights(ws)  # the positive-weights rule and the gcd
+        if g != 1:
             raise InvalidWeightsError(
-                f"weights {ws} have gcd {math.gcd(*ws)}; divide it out first"
+                f"weights {ws} have gcd {g}; divide it out first"
                 " (WeightSystem.normalized does this and reports the factor)"
             )
         if not isinstance(self.m, int) or self.m < 1:
@@ -69,7 +65,7 @@ class WeightSystem:
 
     @property
     def lcm(self) -> int:
-        return lcm_of(self.weights)
+        return math.lcm(*self.weights)
 
     def notation(self) -> str:
         return f"1/{self.m}({','.join(str(w) for w in self.weights)})"
@@ -296,10 +292,12 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
 
     Equality and the witness come from the membership sweep.  When it finds
     the two ideals equal, the power's minimal generators are the
-    truncation's, given in the (total degree, lex) order of ``minimalize``;
-    otherwise the power is built from d-fold sums of the level-b generators,
-    walked only then, and its containment and first missing truncation
-    generator are checked against the sweep.
+    truncation's, given in the (total degree, lex) order of ``minimalize``,
+    and level b is not walked.  Otherwise the power is built from d-fold
+    sums of the level-b generators, walked and charged only then, and its
+    containment and first missing truncation generator are checked against
+    the sweep; a power outside the truncation raises, so ``ok`` is True.
+    The level-d*b box, charged first, is the largest, so a refusal names it.
     """
     weights, n = system.weights, system.n
 
@@ -309,7 +307,6 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
             raise DimensionError(f"generators do not all have length {n}")
         return gens
 
-    check_box_budget(weights, t_b)  # charged first, so a refusal names it whichever branch runs
     trunc = generators(d * t_b)
     gap = _first_power_gap(weights, t_b, d, trunc)
     if gap is None:
@@ -325,6 +322,10 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
     by_div = all(any(all(map(le, g, p)) for g in trunc) for p in power)
     if containment_ok != by_div:
         raise InternalConsistencyError("containment routes disagree in power-vs-truncation")
+    if not containment_ok:
+        raise InternalConsistencyError(
+            "the power ideal escaped the truncation ideal; weights must add"
+        )
     witness = next((g for g in trunc if not any(all(map(le, p, g)) for p in power)), None)
     equal = set(trunc) == set(power)
     j, g = gap
@@ -332,7 +333,7 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
         raise InternalConsistencyError(
             f"the d-fold sums give the witness {witness}, the membership sweep {g} at level {j}"
         )
-    return trunc, power, equal, witness, containment_ok
+    return trunc, power, equal, witness, True
 
 
 def product_vs_truncation(system: WeightSystem, b, d: int) -> TruncationReport:

@@ -17,6 +17,8 @@ the former recursive generator walk, kept as the reference for the flat one;
 power with a truncation, kept as the reference for the membership sweep;
 ``scanner_parse_polynomial`` is the former character-by-character
 polynomial parser, kept as the reference for the term-at-a-time one.
+The oracles minimalize with their own ``minimalize``, never the library's,
+which the d-fold branch under test uses.
 ``invert_transform`` and ``verify_generator_lift`` are cross-checks that
 only tests use.
 """
@@ -29,7 +31,6 @@ import random
 from fractions import Fraction
 from operator import le
 
-from wblow.arith import minimalize
 from wblow.blowup import TransformedEquation
 from wblow.errors import (
     DimensionError,
@@ -45,6 +46,20 @@ from wblow.wideal import WeightSystem, minimal_generators_numerator
 
 def ceil_div(p, q):
     return -(-p // q)
+
+
+def minimalize(vectors) -> tuple:
+    """Oracle: the divisibility-minimal vectors in (total degree, lex) order.
+
+    Only a vector of lower total degree can divide another, so each one is
+    kept unless a vector kept before it divides it.  A copy of its own, so
+    that a fault in ``arith.minimalize`` shows as a disagreement.
+    """
+    kept = []
+    for v in sorted(set(vectors), key=lambda e: (sum(e), e)):
+        if not any(all(map(le, u, v)) for u in kept):
+            kept.append(v)
+    return tuple(kept)
 
 
 def brute_min_gens(weights, t):

@@ -230,6 +230,9 @@ class TestBatch:
             tmp_path, {"command": "charts", "target": "1/1(1,2)", "parameters": [1]}
         )
 
+    def test_non_object_entry_is_one_entry_error(self, tmp_path):
+        self._only_bad_entry_fails(tmp_path, 1)
+
     def test_non_string_command_is_one_entry_error(self, tmp_path):
         self._only_bad_entry_fails(tmp_path, {"command": ["charts"], "target": "1/1(1,2)"})
 
@@ -687,3 +690,83 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "status: ok" in out
         assert "weight: 1/2" in out
+
+
+class TestErrorPaths:
+    """Command-line error paths, each pinned by its exit code, kind and message."""
+
+    @pytest.mark.parametrize(
+        "env, argv, kind, message",
+        [
+            (None, ["lift-check", "--sigma-prime", "1,2", "--m", "0", "--a", "1"],
+             "invalid-instance", "group order must be a positive integer, got 0"),
+            (None, ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "0"],
+             "invalid-instance", "multiplier must be a positive integer, got 0"),
+            (None, ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "-2"],
+             "invalid-instance", "mutated lifted weight 0 is not a positive weight"),
+            (None, ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--dmax", "0"],
+             "invalid-instance", "d_max must be >= 1, got 0"),
+            (None, ["charts", "1/1(1,2)x"],
+             "parse-error", "trailing input after the weight system (position 9)"),
+            (None, ["invariants", "1/3(1,2)x"],
+             "parse-error", "trailing input after the quotient type (position 9)"),
+            (None, ["invariants", "1/2(1,1;0){g=x1^2}}"],
+             "parse-error", "trailing input after the hyperquotient (position 19)"),
+            (None, ["ideal", "1/1(1,2)", "--k", "1/2x"],
+             "parse-error", "trailing input after the rational (position 4)"),
+            ("abc", ["ideal", "1/1(1,2)", "--k", "3"],
+             "enumeration-limit", "WBLOW_MAX_ENUM must be an integer, got 'abc'"),
+            ("0", ["ideal", "1/1(1,2)", "--k", "3"],
+             "enumeration-limit", "WBLOW_MAX_ENUM must be positive"),
+            (None, ["invariants", "1/2(1,1,1;0){g=x1^2+x2^2}"],
+             "invalid-instance", "invariants takes a cyclic quotient type"),
+            (None, ["pushforward", "1/1(1,1)", "--f", "x1", "--a-max", "-1"],
+             "out-of-domain", "a_max must be non-negative, got -1"),
+            (None, ["pushforward", "1/1(1,1)", "--f", "0"],
+             "undefined-weight", "the zero polynomial defines no divisor"),
+            (None, ["transform", "1/1(1,1)", "--g", "0", "--chart", "1"],
+             "undefined-weight", "the zero polynomial has no strict transform"),
+            ("1000", ["truncation", "1/1(2,3)", "--b", "600", "--d", "2"],
+             "enumeration-limit",
+             "minimal generator enumeration needs 241001 enumeration steps, over the limit"
+             " of 1000; raise WBLOW_MAX_ENUM to allow it"),
+        ],
+    )
+    def test_exit_1_with_kind_and_message(self, capsys, monkeypatch, env, argv, kind, message):
+        if env is not None:
+            monkeypatch.setenv("WBLOW_MAX_ENUM", env)
+        assert main([*argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert {k: payload["error"][k] for k in ("kind", "message")} == {
+            "kind": kind, "message": message
+        }
+
+    def test_power_outside_the_truncation_exits_3(self, capsys, monkeypatch):
+        import wblow.wideal as wideal_mod
+
+        monkeypatch.setattr(wideal_mod, "minimalize", lambda sums: ((0, 0, 0, 0),))
+        argv = ["truncation", "1/1(6,10,15,1)", "--b", "30", "--d", "2", "--format", "json"]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "kind": "internal-consistency",
+            "message": "the power ideal escaped the truncation ideal; weights must add",
+        }
+
+    def test_find_stable_without_a_stable_b_reports_null(self, capsys):
+        argv = ["truncation", "1/1(6,10,15,1)", "--find-stable", "--limit", "1", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["stable_b"] is None
+
+    def test_missing_batch_file_in_text(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        assert main(["batch", path, "--format", "text"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"batch: {path}",
+            "status: error",
+            f"error: [Errno 2] No such file or directory: {path!r}",
+        ]

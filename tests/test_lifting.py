@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import jsonschema
@@ -23,6 +24,7 @@ from wblow.errors import (
 )
 from wblow.lifting import (
     CheckReport,
+    LiftInstance,
     chain_report,
     make_lift_instance,
     mutated_instance,
@@ -485,3 +487,43 @@ class TestChainReport:
         assert report.status == "fail"
         assert report.halted_at == 2
         assert len(report.stages) == 2
+
+
+class TestInstanceChecks:
+    """The constructor is the one check of the group order, the multiplier and the lifted weight."""
+
+    @pytest.mark.parametrize(
+        "m, multiplier, lifted, message",
+        [
+            (0, 1, 2, "group order must be a positive integer, got 0"),
+            (1, 0, 2, "multiplier must be a positive integer, got 0"),
+            (1, 1, 0, "mutated lifted weight 0 is not a positive weight"),
+            (1, 1, -3, "mutated lifted weight -3 is not a positive weight"),
+        ],
+    )
+    def test_direct_construction(self, m, multiplier, lifted, message):
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            LiftInstance((1, 2), m, multiplier, 1, 2, lifted)
+
+    def test_builders_raise_the_constructor_messages(self):
+        inst = make_lift_instance((1, 2), 1, 1)
+        for build, message in [
+            (lambda: make_lift_instance((1, 2), 0, 1),
+             "group order must be a positive integer, got 0"),
+            (lambda: make_lift_instance((1, 2), 1, -1),
+             "multiplier must be a positive integer, got -1"),
+            (lambda: mutated_instance(inst, -2),
+             "mutated lifted weight 0 is not a positive weight"),
+            (lambda: mutated_instance(inst, 0), "delta 0 is not a mutation"),
+        ]:
+            with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_mutation_study_applies_the_fixed_offsets(self):
+        assert [o.delta for o in mutation_study(make_lift_instance((1, 2), 1, 2), 3).outcomes] == [
+            -3, -2, -1, 1, 2, 3
+        ]
+        # the forced weight is 2: only offsets that keep it positive apply
+        assert [o.delta for o in mutation_study(make_lift_instance((1, 2), 1, 1), 3).outcomes] == [
+            -1, 1, 2, 3
+        ]

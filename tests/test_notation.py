@@ -259,6 +259,30 @@ class TestRoundTrip:
             hq = HyperquotientType(ambient, Polynomial(n, terms), target)
             assert parse_singularity(hq.notation()) == hq
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_hyperquotient_with_braced_variable_indices(self, n):
+        # x{10} and up carry their own braces inside the equation's braces
+        hq = HyperquotientType(
+            CyclicQuotientType(2, (1,) * n), Polynomial.monomial((0,) * (n - 1) + (2,)), 0
+        )
+        assert hq.notation().endswith(f"{{g=x{{{n}}}^2}}")
+        assert parse_singularity(hq.notation()) == hq
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1/2(1,1;0){g=x1^2}}", "trailing input after the hyperquotient", 19),
+            ("1/2(1,1;0){g=x1^2", "missing closing '}' after the equation", 18),
+            ("1/2(1,1;0){g=x{1^2}", "missing closing '}' after the equation", 20),
+            ("1/2(1,1;0){g=x{1}^2}x", "trailing input after the hyperquotient", 21),
+        ],
+    )
+    def test_equation_braces_errors(self, text, message, position):
+        with pytest.raises(NotationError) as exc:
+            parse_singularity(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} (position {position})"
+
     def test_weight_system_fuzz(self):
         rng = random.Random(13)
         import math

@@ -19,6 +19,7 @@ from helpers import (
 )
 from wblow.errors import (
     DimensionError,
+    EnumerationLimitError,
     InternalConsistencyError,
     InvalidInstanceError,
     InvalidWeightsError,
@@ -379,6 +380,24 @@ class TestPowerByMembership:
         assert not report.equal and report.containment_ok
         assert report.witness == witness
         assert report_tuple(report) == sums_power_vs_truncation(UNEQUAL.weights, 30, d)
+
+    def test_equal_ideals_never_walk_level_b(self, monkeypatch):
+        walked = []
+        real = wideal_mod.minimal_generators_numerator
+        monkeypatch.setattr(
+            wideal_mod, "minimal_generators_numerator", lambda w, t: walked.append(t) or real(w, t)
+        )
+        assert product_vs_truncation(WeightSystem((2, 3), 1), 6, 3).equal
+        assert walked == [18, 12]
+        walked.clear()
+        assert not product_vs_truncation(UNEQUAL, 30, 2).equal
+        assert walked == [60, 30]
+
+    def test_a_refusal_names_the_level_db_box(self, monkeypatch):
+        # the level-2b box, 601 * 401 points, is charged first; level b (60,501) is never walked
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "1000")
+        with pytest.raises(EnumerationLimitError, match="needs 241001 enumeration steps"):
+            product_vs_truncation(WeightSystem((2, 3), 1), 600, 2)
 
     def test_unequal_system_is_stable_from_60(self):
         assert find_stable_b(UNEQUAL, 3, 8) == 60
