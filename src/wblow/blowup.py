@@ -38,7 +38,6 @@ from .quotient import CyclicQuotientType, Polynomial, semi_invariant_class
 from .wideal import (
     WeightedIdeal,
     WeightSystem,
-    check_box_budget,
     ideal_generators,
     polynomial_weight,
     weight_numerator,
@@ -221,12 +220,6 @@ def chart(system: WeightSystem, i: int) -> Chart:
     return Chart(i, qtype, m, tuple(rows))
 
 
-def _check_nvars(f: Polynomial, ch: Chart) -> None:
-    n = len(ch.numerators)
-    if f.nvars != n:
-        raise DimensionError(f"exponent length {f.nvars} does not match chart dimension {n}")
-
-
 def _over(v: int, m: int):
     """Report form of an exponent numerator over m: an int when m divides it, else a Fraction."""
     q, r = divmod(v, m)
@@ -287,7 +280,9 @@ def pushforward_decomposition(
 
     ``f`` must be semi-invariant under the order-m action with these weights
     (checked).  Records cover integer levels 0..a_max; the default bound
-    brackets the multiplicity by one extra level.
+    brackets the multiplicity by one extra level.  The levels are built from
+    a_max down, so the first walk, and the first charge, is the top level's
+    box, the largest: a refusal comes before any level is built.
     """
     if f.is_zero:
         raise UndefinedWeightError("the zero polynomial defines no divisor")
@@ -298,11 +293,8 @@ def pushforward_decomposition(
         a_max = math.ceil(multiplicity) + 1
     if a_max < 0:
         raise OutOfDomainError(f"a_max must be non-negative, got {a_max}")
-    check_box_budget(system.weights, a_max * system.m)  # the largest box, before any level
-    records = tuple(
-        PushforwardRecord(a, ideal_generators(system, Fraction(a))) for a in range(a_max + 1)
-    )
-    return PushforwardReport(system, multiplicity, eig, records)
+    records = [PushforwardRecord(a, ideal_generators(system, a)) for a in range(a_max, -1, -1)]
+    return PushforwardReport(system, multiplicity, eig, tuple(reversed(records)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,7 +336,9 @@ def strict_transform_in_chart(
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
     ch = chart(system, chart_index)
-    _check_nvars(g, ch)
+    n = len(ch.numerators)
+    if g.nvars != n:
+        raise DimensionError(f"exponent length {g.nvars} does not match chart dimension {n}")
     i0 = chart_index - 1
     m = ch.m
     column = [row[i0] for row in ch.numerators]
@@ -356,8 +350,6 @@ def strict_transform_in_chart(
             )
     w_min = min(e[i0] for e, _ in keyed)
     terms = tuple((e[:i0] + (_over(e[i0] - w_min, m),) + e[i0 + 1 :], c) for e, c in keyed)
-    if min(e[i0] for e, _ in terms) != 0:
-        raise InternalConsistencyError("residual does not reach chart-coordinate exponent 0")
     return TransformedEquation(chart_index, Fraction(w_min, m), terms)
 
 

@@ -31,7 +31,6 @@ import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import blowup, quotient, wideal  # lifting loads only in lift-check and chain
 from .errors import (
@@ -41,7 +40,6 @@ from .errors import (
     NotationError,
     OutOfDomainError,
     WblowError,
-    exit_code_for,
 )
 from .notation import (
     format_rational,
@@ -53,38 +51,32 @@ from .notation import (
 
 SCHEMA_VERSION = 1
 
+#: The envelope of a JSON report: every key is required, in this order.
+_ENVELOPE = {
+    "schema_version": {"const": SCHEMA_VERSION},
+    "command": {"type": "string"},
+    "input": {"type": "object"},
+    "status": {"enum": ["ok", "verification-failed", "error"]},
+    "exit_code": {"type": "integer", "minimum": 0, "maximum": 3},
+    "result": {"type": ["object", "null"]},
+    "error": {
+        "type": ["object", "null"],
+        "properties": {
+            "kind": {"type": "string"},
+            "message": {"type": "string"},
+            "position": {"type": "integer"},
+        },
+        "required": ["kind", "message"],
+    },
+    "provenance": {"type": "array", "items": {"type": "string"}},
+}
+
 #: Published envelope schema for JSON reports (validated in the test suite).
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
-    "required": [
-        "schema_version",
-        "command",
-        "input",
-        "status",
-        "exit_code",
-        "result",
-        "error",
-        "provenance",
-    ],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"type": "string"},
-        "input": {"type": "object"},
-        "status": {"enum": ["ok", "verification-failed", "error"]},
-        "exit_code": {"type": "integer", "minimum": 0, "maximum": 3},
-        "result": {"type": ["object", "null"]},
-        "error": {
-            "type": ["object", "null"],
-            "properties": {
-                "kind": {"type": "string"},
-                "message": {"type": "string"},
-                "position": {"type": "integer"},
-            },
-            "required": ["kind", "message"],
-        },
-        "provenance": {"type": "array", "items": {"type": "string"}},
-    },
+    "required": list(_ENVELOPE),
+    "properties": _ENVELOPE,
     "additionalProperties": False,
 }
 
@@ -161,12 +153,10 @@ def _is_digit_limit_error(exc: ValueError) -> bool:
     The reference is the error the interpreter itself raises for an integer
     one digit past the limit, compared on its first clause (a later clause
     may name the digit count), so the check follows the interpreter's wording.
+    With the limit off (0) the reference prints, so no error matches.
     """
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return False
     try:
-        str(10**limit)
+        str(10 ** sys.get_int_max_str_digits())
     except ValueError as own:
         return _first_clause(str(exc)) == _first_clause(str(own))
     return False
@@ -200,15 +190,11 @@ def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
     error = {"kind": exc.kind, "message": str(exc)}
     if isinstance(exc, NotationError):
         error["position"] = exc.position
-    return Report(command, input_echo, "error", exit_code_for(exc), error=error)
+    return Report(command, input_echo, "error", exc.exit_code, error=error)
 
 
 # ---------------------------------------------------------------------------
 # JSON-friendly conversions (deterministic, rationals as "p/q")
-
-
-def _frac(value) -> str:
-    return format_rational(Fraction(value))
 
 
 def _vec(values) -> list:
@@ -216,7 +202,7 @@ def _vec(values) -> list:
 
 
 def _fracvec(values) -> list:
-    return [_frac(v) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def _system_dict(system: wideal.WeightSystem) -> dict:
@@ -315,8 +301,8 @@ def _cmd_ideal(system: wideal.WeightSystem, params: dict):
     ideal = wideal.ideal_generators(system, k)
     result = {
         "system": _system_dict(system),
-        "k": _frac(ideal.k),
-        "threshold_numerator": _frac(ideal.threshold_numerator),
+        "k": format_rational(ideal.k),
+        "threshold_numerator": format_rational(ideal.threshold_numerator),
         "generators": [_vec(g) for g in ideal.gens],
         "monomials_below": wideal.count_below(system, k),
     }
@@ -327,13 +313,13 @@ def _cmd_wt(system: wideal.WeightSystem, params: dict):
     f = parse_polynomial(params["poly"], nvars=system.n)
     weight = wideal.polynomial_weight(f, system)
     per_monomial = [
-        {"exponents": _vec(s), "weight": _frac(wideal.monomial_weight(s, system))}
+        {"exponents": _vec(s), "weight": format_rational(wideal.monomial_weight(s, system))}
         for s in f.support()
     ]
     result = {
         "system": _system_dict(system),
         "polynomial": f.text(),
-        "weight": _frac(weight),
+        "weight": format_rational(weight),
         "per_monomial": per_monomial,
     }
     return result, [], True
@@ -345,7 +331,7 @@ def _cmd_pushforward(system: wideal.WeightSystem, params: dict):
     result = {
         "system": _system_dict(system),
         "polynomial": f.text(),
-        "multiplicity": _frac(report.multiplicity),
+        "multiplicity": format_rational(report.multiplicity),
         "eigenvalue_class": report.eigenvalue_class,
         "levels": [
             {"a": rec.a, "generators": [_vec(g) for g in rec.ideal.gens]}
@@ -364,11 +350,11 @@ def _cmd_transform(system: wideal.WeightSystem, params: dict):
     g = parse_polynomial(params["g"], nvars=system.n)
     teq = blowup.strict_transform_in_chart(g, system, params["chart"])
     def terms_payload(terms):
-        return [{"exponents": _fracvec(e), "coefficient": _frac(c)} for e, c in terms]
+        return [{"exponents": _fracvec(e), "coefficient": format_rational(c)} for e, c in terms]
     result = {
         "system": _system_dict(system),
         "chart": teq.chart_index,
-        "factored_exponent": _frac(teq.factored_exponent),
+        "factored_exponent": format_rational(teq.factored_exponent),
         "residual": terms_payload(teq.terms),
         "divisor_restriction": terms_payload(teq.divisor_restriction()),
     }
@@ -506,7 +492,7 @@ def _cmd_truncation(system: wideal.WeightSystem, params: dict):
             "mode": "find-stable",
             "d_max": d_max,
             "search_limit": limit,
-            "stable_b": None if found is None else _frac(found),
+            "stable_b": None if found is None else format_rational(found),
         }
         return result, [], True
     if params["b"] is None or params["d"] is None:
@@ -516,7 +502,7 @@ def _cmd_truncation(system: wideal.WeightSystem, params: dict):
     result = {
         "system": _system_dict(system),
         "mode": "compare",
-        "b": _frac(report.b),
+        "b": format_rational(report.b),
         "d": report.d,
         "equal": report.equal,
         "containment_ok": report.containment_ok,

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every error carries a machine-readable ``kind`` used verbatim in JSON error
-objects, and maps to a process exit code through ``exit_code_for``.
+objects and the process ``exit_code`` of its report: 1 for bad input, 3 for
+an internal bug.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ class WblowError(Exception):
     """Base class for all domain errors raised by this package."""
 
     kind = "error"
+    exit_code = 1
 
 
 class InvalidWeightsError(WblowError):
@@ -71,10 +73,4 @@ class InternalConsistencyError(WblowError):
     """Two routes that must agree by construction disagreed: a bug, not bad input."""
 
     kind = "internal-consistency"
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Process exit code for an exception: 3 for internal bugs, 1 for bad input."""
-    if isinstance(exc, InternalConsistencyError):
-        return 3
-    return 1
+    exit_code = 3

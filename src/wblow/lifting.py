@@ -126,18 +126,19 @@ class Violation:
 
 @dataclass(frozen=True, slots=True)
 class CheckReport:
+    """A sweep over ``d_range``: it fails iff it carries the first failing degree's witness."""
+
     instance: LiftInstance
     d_range: range
-    status: str  # "pass" | "fail"
     counterexample: Violation | None
-
-    def __post_init__(self):
-        if self.status == "fail" and self.counterexample is None:
-            raise InternalConsistencyError("failing report must carry a counterexample")
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _class_minima(weights: tuple, modulus: int) -> list:
@@ -227,10 +228,10 @@ def _sweep(inst: LiftInstance, degrees: range, what: str) -> CheckReport:
     steps = (len(inst.base_weights) + degrees.stop - degrees.start) * inst.lifted_weight
     check_enum_budget(steps, what)
     if inst.is_derived:
-        return CheckReport(inst, degrees, "pass", None)
+        return CheckReport(inst, degrees, None)
     table = _class_minima(inst.base_weights, inst.lifted_weight)
     v = next(filter(None, (_violation(inst, d, table) for d in degrees)), None)
-    return CheckReport(inst, degrees, "fail" if v else "pass", v)
+    return CheckReport(inst, degrees, v)
 
 
 def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
@@ -320,14 +321,19 @@ class ChainStage:
 
 @dataclass(frozen=True, slots=True)
 class ChainReport:
+    """The stages run; the chain fails iff ``halted_at`` names a failing stage."""
+
     start: HyperquotientType
     initial_type: CyclicQuotientType
     initial_weights: tuple
     d_max: int
     stages: tuple
-    status: str  # "pass" | "fail"
     halted_at: int | None
     notes: tuple
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.halted_at is None else "fail"
 
 
 def chain_report(
@@ -369,7 +375,6 @@ def chain_report(
         )
 
     stages = []
-    status = "pass"
     halted_at = None
     for idx, a_t in enumerate(a_sequence, start=1):
         inst = make_lift_instance(current_weights, m, a_t)
@@ -382,7 +387,6 @@ def chain_report(
         lifted = lift_type(current_type, inst.lifted_weight)
         stages.append(ChainStage(idx, a_t, inst, lifted, check))
         if not check.passed:
-            status = "fail"
             halted_at = idx
             break
         current_type = lifted
@@ -394,7 +398,6 @@ def chain_report(
         initial_weights=initial_weights,
         d_max=d_max,
         stages=tuple(stages),
-        status=status,
         halted_at=halted_at,
         notes=tuple(notes),
     )

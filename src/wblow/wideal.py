@@ -120,14 +120,6 @@ class WeightedIdeal:
         return any(all(map(le, g, s)) for g in self.gens)
 
 
-def check_box_budget(weights: tuple, t: int) -> None:
-    """Charge the nominal box prod(ceil(t / weights_i) + 1), which never shrinks as t grows."""
-    box = 1
-    for a in weights:
-        box *= ceil_div(t, a) + 1
-    check_enum_budget(box, "minimal generator enumeration")
-
-
 def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     """Minimal generators of {s : sum(s_i * weights_i) >= t} for an integer threshold.
 
@@ -144,12 +136,14 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     rows in overshoot order sorts them by (weight, lex); only the distinct
     overshoots are sorted, and the rows are keyed by overshoot, so their
     storage follows the generators, not max(weights).  The budget still
-    charges the nominal box, which never shrinks as t grows.
+    charges the nominal box prod(ceil(t / weights_i) + 1), which never
+    shrinks as t grows.
     """
     n = len(weights)
     if t <= 0:
         return ((0,) * n,)
-    check_box_budget(weights, t)
+    box = math.prod(ceil_div(t, a) + 1 for a in weights)
+    check_enum_budget(box, "minimal generator enumeration")
     if n == 1:
         return ((ceil_div(t, weights[0]),),)
     a, b = weights[-2:]

@@ -555,14 +555,14 @@ def verify_generator_lift(inst: LiftInstance, d: int) -> CheckReport:
     candidate = minimalize(shifted + embedded)
 
     if set(top) == set(candidate):
-        return CheckReport(inst, range(d, d + 1), "pass", None)
+        return CheckReport(inst, range(d, d + 1), None)
     diff = sorted(set(top) ^ set(candidate))
     witness = diff[0]
     side = "the level ideal" if witness in set(top) else "the rebuilt decomposition"
     explanation = (
         f"at degree {d}: generator sets differ; {witness} appears only in {side}"
     )
-    return CheckReport(inst, range(d, d + 1), "fail", Violation(d, witness, explanation))
+    return CheckReport(inst, range(d, d + 1), Violation(d, witness, explanation))
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +652,9 @@ def box_verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
                 f" variable gives level-{lower if not lower_is_unit else 'unit'}"
                 f" membership {in_lower}"
             )
-            return CheckReport(inst, range(d, d + 1), "fail", Violation(d, monomial, explanation))
+            return CheckReport(inst, range(d, d + 1), Violation(d, monomial, explanation))
 
-    return CheckReport(inst, range(d, d + 1), "pass", None)
+    return CheckReport(inst, range(d, d + 1), None)
 
 
 def box_first_violation(inst: LiftInstance, d_max: int) -> Violation | None:

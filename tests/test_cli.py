@@ -320,6 +320,12 @@ class TestExternalInterfaces:
 
 
 class TestJsonSchema:
+    def test_every_envelope_key_is_required_in_order(self):
+        keys = ["schema_version", "command", "input", "status", "exit_code", "result", "error",
+                "provenance"]
+        assert REPORT_SCHEMA["required"] == keys == list(REPORT_SCHEMA["properties"])
+        assert list(Report("wt", {}).to_payload()) == keys
+
     def test_reports_validate(self):
         specs = [
             make_spec("charts", "1/1(1,2,3)"),
@@ -730,6 +736,18 @@ class TestErrorPaths:
              "enumeration-limit",
              "minimal generator enumeration needs 241001 enumeration steps, over the limit"
              " of 1000; raise WBLOW_MAX_ENUM to allow it"),
+            (None, ["truncation", "1/1(2,3)", "--find-stable", "--dmax", "1"],
+             "invalid-instance", "d_max must be at least 2, got 1"),
+            (None, ["truncation", "1/1(2,3)", "--find-stable", "--limit", "0"],
+             "invalid-instance", "search_limit must be at least 1, got 0"),
+            (None, ["invariants", "1/4(1,3)", "--degree-bound", "0"],
+             "invalid-instance", "degree bound must be at least 1"),
+            (None, ["example33", "--r", "2", "--m", "1", "--a", "1", "--exponent-n", "1"],
+             "invalid-instance", "the last-variable exponent must be at least 2"),
+            ("90", ["pushforward", "1/1(1,2)", "--f", "x1^2+x2", "--a-max", "12"],
+             "enumeration-limit",
+             "minimal generator enumeration needs 91 enumeration steps, over the limit"
+             " of 90; raise WBLOW_MAX_ENUM to allow it"),
         ],
     )
     def test_exit_1_with_kind_and_message(self, capsys, monkeypatch, env, argv, kind, message):
@@ -754,6 +772,31 @@ class TestErrorPaths:
             "kind": "internal-consistency",
             "message": "the power ideal escaped the truncation ideal; weights must add",
         }
+
+    def test_pushforward_is_charged_its_top_box_first(self, capsys, monkeypatch):
+        # the top level, a = 12, walks (12 + 1) * (6 + 1) = 91 points: the largest box
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "91")
+        argv = ["pushforward", "1/1(1,2)", "--f", "x1^2+x2", "--a-max", "12", "--format", "json"]
+        assert main(argv) == 0
+        levels = json.loads(capsys.readouterr().out)["result"]["levels"]
+        assert [level["a"] for level in levels] == list(range(13))
+        assert levels[0]["generators"] == [[0, 0]]
+        assert levels[12]["generators"][0] == [0, 6]
+
+    def test_two_variable_type_without_a_binomial_relation_notes_why(self, capsys):
+        assert main(["invariants", "1/5(1,2)", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"]["relation"] is None
+        assert payload["provenance"] == [
+            "no binomial relation: invariant basis has 4 generators; only the 3-generator"
+            " case carries a single binomial relation"
+        ]
+
+    def test_chain_notes_a_divided_out_factor(self, capsys):
+        assert main(["chain", "1/4(2,2,2)", "--a-sequence", "1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "stage 1: weights shared a factor 2, divided out before lifting" in payload["provenance"]
+        assert payload["result"]["stages"][0]["instance"]["normalization_factor"] == 2
 
     def test_find_stable_without_a_stable_b_reports_null(self, capsys):
         argv = ["truncation", "1/1(6,10,15,1)", "--find-stable", "--limit", "1", "--format", "json"]

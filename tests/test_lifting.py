@@ -181,11 +181,6 @@ class TestVerifyDecomposition:
         with pytest.raises(EnumerationLimitError):
             verify_decomposition_range(make_lift_instance((1, 2), 1, 1), 2**70)
 
-    def test_report_invariant(self):
-        inst = make_lift_instance((1, 1), 1, 1)
-        with pytest.raises(InternalConsistencyError):
-            CheckReport(inst, (1,), "fail", None)
-
 
 @st.composite
 def lift_cases(draw):
@@ -479,7 +474,7 @@ class TestChainReport:
             if calls["n"] == 2:
                 from wblow.lifting import Violation
 
-                return CheckReport(inst, (1,), "fail", Violation(1, (0,) * inst.n, "injected"))
+                return CheckReport(inst, (1,), Violation(1, (0,) * inst.n, "injected"))
             return real(inst, d_max)
 
         monkeypatch.setattr(lifting_mod, "verify_decomposition_range", failing)
