@@ -90,28 +90,40 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
+def add_multiples(reach: int, weight: int, cap: int, hi: int) -> int:
+    """The bitset ``reach`` with 0..cap copies of ``weight`` added to its sums, cut above ``hi``.
+
+    Python ints are used as bitsets: bit v of the result is set iff some
+    v <= hi is t * weight plus a set bit of ``reach``, 0 <= t <= cap.  The
+    cap is split into pieces 1, 2, 4, ... and a remainder (Martello & Toth,
+    *Knapsack Problems*, 1990, section 3.2), so about log2(cap)
+    shift-and-or steps of hi + 1 bits do it.  ``reach`` must hold no bit
+    above ``hi``.
+    """
+    full = (1 << (hi + 1)) - 1
+    c, k = min(cap, hi // weight), 1
+    while c:
+        k = min(k, c)
+        reach |= (reach << k * weight) & full
+        c, k = c - k, k + k
+    return reach
+
+
 def lex_least(weights: Sequence[int], caps: Sequence[int], lo: int, hi: int) -> ExpVec | None:
     """The lexicographically least h <= caps with lo <= sum(h_i * weights_i) <= hi, or None.
 
     A bounded subset sum on Python ints used as bitsets: bit w of a suffix
     bitset says that the entries after some position, each within its cap,
-    can weigh w <= hi.  Each cap is split into pieces 1, 2, 4, ... and a
-    remainder (Martello & Toth, *Knapsack Problems*, 1990, section 3.2), so
-    about n * log2(max cap) shift-and-or steps build all the suffixes.  The
+    can weigh w <= hi.  :func:`add_multiples` builds each suffix from the
+    next, so about n * log2(max cap) shift-and-or steps build them all.  The
     entries are then fixed one at a time from the first, each to the least
     value that the suffix after it can still complete into [lo, hi].
     """
     if hi < max(lo, 0):
         return None
-    full = (1 << (hi + 1)) - 1
     suffixes = [1]  # suffixes[k]: the weights of the last k entries
     for w, c in zip(reversed(weights[1:]), reversed(caps[1:])):
-        reach, c, k = suffixes[-1], min(c, hi // w), 1
-        while c:
-            k = min(k, c)
-            reach |= (reach << k * w) & full
-            c, k = c - k, k + k
-        suffixes.append(reach)
+        suffixes.append(add_multiples(suffixes[-1], w, c, hi))
     out = []
     window = (1 << (hi - lo + 1)) - 1  # [lo, hi] keeps its width as entries are fixed
     for w, c, reach in zip(weights, caps, reversed(suffixes)):
@@ -143,7 +155,7 @@ def check_enum_budget(points: int, what: str) -> None:
     """Refuse an enumeration whose counted work exceeds the configured budget.
 
     ``points`` is the work the caller counts: grid points, dynamic-program
-    or residue-table steps, or the size of a nominal box.
+    or lifting-sweep steps, or the size of a nominal box.
     """
     limit = max_enum_points()
     if points > limit:

@@ -5,11 +5,13 @@ The oracles here deliberately use different algorithms from the library
 definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
 for the integer-numerator ones; ``box_verify_decomposition`` is the former
-box engine of the lifting check, kept as the reference for the residue-table
-one; ``scan_first_violation`` is the former sorted scan of the class minima,
-kept as the reference for the residue lookup at sizes the box engine cannot
-afford, and it builds its witnesses with ``prefix_for_weight``, the former
-witness builder, kept as the reference for ``arith.lex_least``;
+box engine of the lifting check, kept as the reference for the residue
+lookup; ``scan_first_violation`` is the former sorted scan of the class
+minima, kept as the reference for the residue lookup at sizes the box engine
+cannot afford; it takes the minima from ``sorted_class_minima``, the sorted
+``class_minima``, the former round-robin table, kept as the reference for
+the semigroup bitset, and builds its witnesses with ``prefix_for_weight``, the former witness builder,
+kept as the reference for ``arith.lex_least``;
 ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as the
 reference for the Davenport-capped minimalization; ``staircase_min_gens`` is
 the former recursive generator walk, kept as the reference for the flat one;
@@ -690,11 +692,13 @@ def prefix_for_weight(weights, target):
     return tuple(out)
 
 
-def sorted_class_minima(weights: tuple, modulus: int) -> list:
-    """Sorted least elements of the semigroup spanned by weights, one per reached residue.
+def class_minima(weights: tuple, modulus: int) -> list:
+    """Least element of the semigroup spanned by weights in each residue class mod modulus.
 
-    The round-robin table of Boecker and Liptak, as the library builds it,
-    with the unreached residues left out and the rest sorted.
+    Entry r is the least sum of weights that is r mod modulus, and
+    ``math.inf`` when no sum is: the round-robin table of Boecker and
+    Liptak, which the library built before the semigroup bitset below the
+    sweep's threshold replaced it.
     """
     table = [math.inf] * modulus
     table[0] = 0
@@ -711,7 +715,17 @@ def sorted_class_minima(weights: tuple, modulus: int) -> list:
                     best = table[r]
                 else:
                     table[r] = best
-    return sorted(v for v in table if v < math.inf)
+    return table
+
+
+def sorted_class_minima(weights: tuple, modulus: int) -> list:
+    """Sorted least elements of the semigroup spanned by weights, one per reached residue.
+
+    The round-robin table that the semigroup bitset replaced
+    (``class_minima``), with the unreached residues left out and the rest
+    sorted.
+    """
+    return sorted(v for v in class_minima(weights, modulus) if v < math.inf)
 
 
 def scan_first_violation(inst: LiftInstance, d_max: int, d_min: int = 1) -> Violation | None:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import prefix_for_weight
 from wblow.arith import (
+    add_multiples,
     divides,
     expvec,
     lcm_of,
@@ -74,6 +75,25 @@ class TestDivides:
 
 
 entries = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 6)), min_size=1, max_size=4)
+
+
+class TestAddMultiples:
+    """The shift-and-or bitset against brute-force representability."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=entries, hi=st.integers(0, 80))
+    @example(pairs=[(1, 0)], hi=5)  # a zero cap adds nothing
+    @example(pairs=[(3, 6), (2, 6)], hi=5)  # caps above hi // w
+    @example(pairs=[(7, 3)], hi=6)  # a weight above hi
+    @example(pairs=[(6, 12), (10, 12), (12, 12)], hi=80)  # no sum is odd
+    def test_matches_brute_force(self, pairs, hi):
+        reach = 1
+        for w, c in pairs:
+            reach = add_multiples(reach, w, c, hi)
+        box = itertools.product(*(range(c + 1) for _, c in pairs))
+        sums = {sum(t * w for t, (w, _) in zip(h, pairs)) for h in box}
+        assert {v for v in range(hi + 1) if reach >> v & 1} == {v for v in sums if v <= hi}
+        assert reach >> (hi + 1) == 0
 
 
 class TestLexLeast:

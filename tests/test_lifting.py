@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     box_first_violation,
     box_verify_decomposition,
+    class_minima,
     scan_first_violation,
     verify_generator_lift,
 )
@@ -203,7 +204,7 @@ def lift_case(base, a, delta, d_max, d):
 
 
 class TestAgainstBoxEngine:
-    """The residue-table engine against the bitmask box engine it replaced."""
+    """The residue lookup against the bitmask box engine it replaced."""
 
     @settings(max_examples=250, deadline=None)
     @given(lift_cases())
@@ -263,6 +264,21 @@ class TestAgainstSortedScan:
     @example(lift_case((7, 11, 13), 1, 1, 40, 40))
     @example(lift_case((7, 11, 13), 1, -1, 40, 40))
     @example(lift_case((12, 20, 30), 4, -1, 40, 33))
+    # L set by the sweep's top threshold d*b - min(a*b, A)
+    @example(lift_case((37, 41), 1, -3, 1, 1))  # L = 3
+    @example(lift_case((37, 41), 1, -700, 1, 1))  # A = 817, L = 700
+    @example(lift_case((194, 202, 9797), 1, -3, 1, 1))  # A = 19,591, L = 3
+    @example(lift_case((194, 202, 9797), 1, 1, 3, 3))  # A = 19,595, L = 2 b = 39,188
+    # L set by Brauer's bound F + 1 + A on the class minima
+    @example(lift_case((3, 5), 1, 1, 40, 40))  # A = 16, L = 24
+    @example(lift_case((6, 10, 15), 1, 1, 40, 40))  # A = 31, L = 61
+    @example(lift_case((6, 10, 15), 1, -14, 40, 40))  # A = 16, L = 46
+    @example(lift_case((6, 10, 15), 2, -29, 40, 40))  # A = 31, L = 61
+    @example(lift_case((194, 202, 9797), 1, 1, 120, 3))  # A = 19,595, L = 48,591
+    @example(lift_case((194, 202, 9797), 1, -9796, 120, 3))  # A = 9,798, L = 38,794
+    # |delta| >= A: every class fails, so L = 1 and only the minimum 0 is read
+    @example(lift_case((59, 60), 1, -3530, 40, 7))  # A = 10, and 3,432 by Brauer
+    @example(lift_case((59, 60), 1, -3535, 40, 40))  # A = 5, |delta| > A
     def test_matches_sorted_scan(self, case):
         inst, d_max, d = case
         sweep = verify_decomposition_range(inst, d_max)
@@ -274,37 +290,65 @@ class TestAgainstSortedScan:
             assert sweep.passed
 
 
-class TestResidueCrossCheck:
-    """A table entry that lies about its class is caught by the re-check against the definition."""
+class TestSemigroupBitset:
+    """Each window's least set bit against the least entry of the round-robin table."""
 
-    @pytest.fixture
-    def lying_table(self, monkeypatch):
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases(), st.data())
+    @example(lift_case((6, 10, 15), 1, 1, 40, 1), None)  # A = 31, L = 61: two blocks
+    def test_least_set_bit_is_the_least_class_minimum(self, case, data):
         import wblow.lifting as lifting_mod
 
-        real = lifting_mod._class_minima
+        inst, d_max, _ = case
+        a_n, ab = inst.lifted_weight, inst.multiplier * inst.base_lcm
+        if inst.is_derived:
+            return
+        blocks = lifting_mod._semigroup_blocks(inst, d_max)
+        top = d_max * inst.base_lcm - min(ab, a_n)
+        table = class_minima(inst.base_weights, a_n)
+        windows = [(start, count) for start in range(a_n) for count in (1, a_n // 2 + 1, a_n)]
+        if abs(a_n - ab) >= a_n:  # every class fails, so only whole windows are looked up
+            windows = [(start, a_n) for start in range(a_n)]
+        if data is not None:
+            windows = data.draw(st.lists(st.sampled_from(windows), min_size=1, max_size=20))
+        for start, count in windows:
+            for below in (1, min(a_n, top), top):  # no minimum past top is looked up
+                want = min(table[(start + j) % a_n] for j in range(count))
+                got = lifting_mod._least_set_bit(blocks, a_n, start, count, below)
+                assert min(got, below) == min(want, below), (start, count, below)
 
-        def altered(weights, modulus):
+
+class TestResidueCrossCheck:
+    """A class minimum read wrong is caught by the re-check against the definition."""
+
+    @pytest.fixture
+    def lying_lookup(self, monkeypatch):
+        import wblow.lifting as lifting_mod
+
+        real = lifting_mod._least_set_bit
+
+        def altered(blocks, modulus, start, count, below):
             # sections (1, 2), a = 1, A = 3 (delta = +1): at d = 2 the failing
-            # class is 4 mod 3 = 1, whose least element 1 is replaced by 0,
+            # class is 4 mod 3 = 1, whose least element 1 is read as 0,
             # a value that satisfies the decomposition
-            table = list(real(weights, modulus))
-            table[1] = 0
-            return tuple(table)
+            if (1 - start) % modulus < count:
+                return 0
+            return real(blocks, modulus, start, count, below)
 
-        monkeypatch.setattr(lifting_mod, "_class_minima", altered)
+        monkeypatch.setattr(lifting_mod, "_least_set_bit", altered)
         return mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
 
     def test_unaltered_table_fails_at_degree_two(self):
         inst = mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
         assert verify_decomposition_range(inst, 6).counterexample.d == 2
 
-    def test_sweep_raises(self, lying_table):
+    def test_sweep_raises(self, lying_lookup):
         with pytest.raises(InternalConsistencyError, match="class minimum 0"):
-            verify_decomposition_range(lying_table, 6)
+            verify_decomposition_range(lying_lookup, 6)
         with pytest.raises(InternalConsistencyError):
-            verify_decomposition(lying_table, 2)
+            verify_decomposition(lying_lookup, 2)
 
-    def test_lift_check_exits_3_with_a_typed_report(self, lying_table, capsys):
+    def test_lift_check_exits_3_with_a_typed_report(self, lying_lookup, capsys):
         argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "1"]
         assert main(argv + ["--format", "json"]) == 3
         captured = capsys.readouterr()
@@ -333,9 +377,13 @@ class TestMemory:
     def test_residue_table_is_dropped(self, monkeypatch):
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
         inst = mutated_instance(make_lift_instance((211, 223), 1, 1), 1)  # A = 47,054
-        kept, peak = traced(lambda: verify_decomposition_range(inst, 1))
-        assert peak > 1_000_000  # the table was built
-        assert kept < 500_000
+        # a table of A class minima took over 1,000,000 B here; at d_max = 1 no
+        # threshold is above 0, so L = 1 and only masks of A bits are made, and
+        # at 3 L = 93,674 (Brauer's bound)
+        for d_max, most in ((1, 20_000), (3, 200_000)):
+            kept, peak = traced(lambda: verify_decomposition_range(inst, d_max))
+            assert peak < most
+            assert kept < 500_000
 
     def test_long_sweep_holds_no_list_of_degrees(self, monkeypatch):
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
