@@ -332,6 +332,8 @@ def strict_transform_in_chart(
     only column i is substituted: every other exponent stays the integer s_j,
     and the chart-coordinate entry is kept as its numerator over m until the
     report.  Since m > 0 the order of these keys is that of the exponents.
+    The map is injective: a key keeps s_j for j != i and holds sum_j s_j a_j
+    in place of s_i, from which s_i is recovered because a_i > 0.
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
@@ -343,11 +345,6 @@ def strict_transform_in_chart(
     m = ch.m
     column = [row[i0] for row in ch.numerators]
     keyed = sorted((s[:i0] + (sum(map(mul, s, column)),) + s[i0 + 1 :], c) for s, c in g.items())
-    for (e, _), (f, _) in zip(keyed, keyed[1:]):
-        if e == f:
-            raise InternalConsistencyError(
-                f"chart map collided two monomials at {e[:i0] + (_over(e[i0], m),) + e[i0 + 1 :]}"
-            )
     w_min = min(e[i0] for e, _ in keyed)
     terms = tuple((e[:i0] + (_over(e[i0] - w_min, m),) + e[i0 + 1 :], c) for e, c in keyed)
     return TransformedEquation(chart_index, Fraction(w_min, m), terms)

@@ -101,16 +101,8 @@ class Report:
     provenance: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "input": self.input,
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "result": self.result,
-            "error": self.error,
-            "provenance": list(self.provenance),
-        }
+        own = {"schema_version": SCHEMA_VERSION, "provenance": list(self.provenance)}
+        return {key: own[key] if key in own else getattr(self, key) for key in _ENVELOPE}
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
@@ -198,7 +190,7 @@ def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
 
 
 def _vec(values) -> list:
-    return [int(v) for v in values]
+    return list(values)
 
 
 def _fracvec(values) -> list:

@@ -352,7 +352,10 @@ def binomial_relation_2d(q: CyclicQuotientType) -> BinomialRelation:
 
     Only the 3-generator shape is modelled (one relation); anything else is
     rejected.  The relation is found as the integer kernel of the 3x2 matrix
-    of generators, via 2d cross products.
+    of generators, via 2d cross products.  None is zero: of two parallel
+    vectors of N^2 one divides the other, which basis elements never do.  A
+    zero sum of nonzero vectors of N^2 needs coefficients of both signs, so
+    after a sign flip exactly one is negative: its generator is w.
     """
     if q.n != 2:
         raise UnsupportedShapeError(f"binomial relation needs 2 variables, got {q.n}")
@@ -365,23 +368,15 @@ def binomial_relation_2d(q: CyclicQuotientType) -> BinomialRelation:
     p, r, s = basis
     cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
     c = (cross(r, s), cross(s, p), cross(p, r))
-    if 0 in c:
-        raise UnsupportedShapeError("degenerate basis: two generators are parallel")
     g = math.gcd(*c)
     c = tuple(x // g for x in c)
-    negatives = [i for i, x in enumerate(c) if x < 0]
-    if len(negatives) == 2:
+    if sum(x < 0 for x in c) == 2:
         c = tuple(-x for x in c)
-        negatives = [i for i, x in enumerate(c) if x < 0]
-    if len(negatives) != 1:
-        raise UnsupportedShapeError("basis admits no positive binomial relation")
-    k = negatives[0]
+    k = next(i for i in range(3) if c[i] < 0)
     others = [i for i in range(3) if i != k]
     ordered = (basis[others[0]], basis[others[1]], basis[k])
     exponents = (c[others[0]], c[others[1]], -c[k])
-    rel = BinomialRelation(ordered, exponents)
-    assert rel.holds()
-    return rel
+    return BinomialRelation(ordered, exponents)
 
 
 @dataclass(frozen=True, slots=True)

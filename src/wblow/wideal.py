@@ -293,21 +293,14 @@ def _compare_power_vs_truncation(system: WeightSystem, t_b: int, d: int) -> tupl
     the sweep; a power outside the truncation raises, so ``ok`` is True.
     The level-d*b box, charged first, is the largest, so a refusal names it.
     """
-    weights, n = system.weights, system.n
-
-    def generators(t: int) -> tuple:
-        gens = minimal_generators_numerator(weights, t)
-        if any(len(g) != n for g in gens):  # once per level, not once per pair
-            raise DimensionError(f"generators do not all have length {n}")
-        return gens
-
-    trunc = generators(d * t_b)
+    weights = system.weights
+    trunc = minimal_generators_numerator(weights, d * t_b)
     gap = _first_power_gap(weights, t_b, d, trunc)
     if gap is None:
         return trunc, tuple(sorted(trunc, key=lambda e: (sum(e), e))), True, None, True
 
     # the C(G + d - 1, d) d-fold sums of the G base generators, charged before any is built
-    base = generators(t_b)
+    base = minimal_generators_numerator(weights, t_b)
     check_enum_budget(math.comb(len(base) + d - 1, d), "d-fold products of generators")
     power = minimalize(
         tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(base, d)

@@ -128,6 +128,16 @@ class TestConeIndex:
             for i in range(1, system.n + 1):
                 assert cone_index(fan, i) == system.weights[i - 1]
 
+    def test_index_out_of_range(self):
+        with pytest.raises(DimensionError, match=r"^chart index 0 out of range 1\.\.2$"):
+            cone_index(build_fan(WeightSystem((1, 2), 1)), 0)
+
+    def test_non_lattice_ray_in_a_hand_built_fan(self):
+        # the first ray is e_1/2, not a lattice point, so cone 2 has index 1/2
+        fan = Fan(2, 2, ((1, 0), (0, 2), (1, 1)), ((1, 2), (0, 2)))
+        with pytest.raises(InternalConsistencyError, match=r"^cone index 1/2 is not an integer$"):
+            cone_index(fan, 2)
+
 
 class TestChart:
     def test_ordinary_blowup_chart(self):
@@ -346,17 +356,6 @@ class TestStrictTransform:
         types = [tuple(map(type, e)) for e, _ in teq.terms]
         assert types == [(int, int, int), (int, Fraction, int)]
         assert teq.terms == (((0, 0, 0), Fraction(-1)), ((1, Fraction(1, 3), 1), Fraction(1)))
-
-    def test_collision_in_a_corrupted_chart_raises(self, monkeypatch):
-        import wblow.blowup as blowup_mod
-
-        system = WeightSystem((1, 1), 1)
-        good = chart(system, 1)
-        # column 1 no longer sees x1, so x1 and x1^2 land on one exponent
-        bad = dataclasses.replace(good, numerators=((0, 0), (1, 1)))
-        monkeypatch.setattr(blowup_mod, "chart", lambda sys_, i: bad)
-        with pytest.raises(InternalConsistencyError, match=r"collided two monomials at \(0, 0\)"):
-            strict_transform_in_chart(poly(2, {(1, 0): 1, (2, 0): 1}), system, 1)
 
 
 class TestExceptionalInfo:

@@ -575,6 +575,16 @@ class TestMainEntry:
         assert main(["truncation", target, "--b", "1", "--d", "2", "--format", "json"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "out-of-domain"
 
+    def test_over_long_result_prints_with_the_digit_limit_off(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wblow", "wt", "1/1(1,9)", "--poly", "x2^" + NINES,
+             "--format", "json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        # 9 * NINES = 8 then 4,299 nines then 1; spelled out, as this process keeps the limit
+        assert json.loads(proc.stdout)["result"]["weight"] == "8" + "9" * 4299 + "1/1"
+
     def test_other_value_errors_are_not_taken_for_the_digit_limit(self, monkeypatch):
         import wblow.cli as cli_mod
 
@@ -584,6 +594,13 @@ class TestMainEntry:
         monkeypatch.setattr(cli_mod.wideal, "polynomial_weight", broken)
         with pytest.raises(ValueError, match="an unrelated fault"):
             main(["wt", "1/1(1,9)", "--poly", "x2", "--format", "json"])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # with the limit off no error is the digit limit
+        try:
+            with pytest.raises(ValueError, match="an unrelated fault"):
+                main(["wt", "1/1(1,9)", "--poly", "x2", "--format", "json"])
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_over_long_budget_count_is_an_enumeration_limit(self, capsys):
         # the nominal box (10^4300)^2 is too long to print, so the refusal names its size in bits
@@ -748,6 +765,11 @@ class TestErrorPaths:
              "enumeration-limit",
              "minimal generator enumeration needs 91 enumeration steps, over the limit"
              " of 90; raise WBLOW_MAX_ENUM to allow it"),
+            (None, ["charts", "1/0(1,2)"],
+             "invalid-weights", "group order must be a positive integer, got 0"),
+            # argparse takes a value that starts with '-' and is not a number for a flag
+            (None, ["ideal", "1/1(1)", "--k", "-1/2"],
+             "invalid-instance", "argument --k: expected one argument"),
         ],
     )
     def test_exit_1_with_kind_and_message(self, capsys, monkeypatch, env, argv, kind, message):
@@ -761,6 +783,11 @@ class TestErrorPaths:
         assert {k: payload["error"][k] for k in ("kind", "message")} == {
             "kind": kind, "message": message
         }
+
+    def test_negative_fraction_joined_to_its_flag(self, capsys):
+        assert main(["ideal", "1/1(1)", "--k=-1/2", "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["k"] == "-1/2" and result["generators"] == [[0]]
 
     def test_power_outside_the_truncation_exits_3(self, capsys, monkeypatch):
         import wblow.wideal as wideal_mod

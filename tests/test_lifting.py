@@ -125,6 +125,10 @@ class TestVerifyDecomposition:
         in_lower = (v.d - inst.multiplier) <= 0 or (total - inst.lifted_weight) >= lower
         assert in_top != in_lower
 
+    def test_degree_below_one_refused(self):
+        with pytest.raises(InvalidInstanceError, match=r"^d must be >= 1, got 0$"):
+            verify_decomposition(make_lift_instance((1, 2), 1, 1), 0)
+
     def test_unit_lower_levels(self):
         inst = make_lift_instance((1, 2), 1, 2)
         for d in (1, 2):  # d <= multiplier: lower level is the unit ideal

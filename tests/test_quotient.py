@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -54,6 +56,12 @@ class TestCyclicQuotientType:
 
     def test_equality_of_spellings(self):
         assert CyclicQuotientType(3, (1, -1, 1)) == CyclicQuotientType(3, (1, 2, 1))
+
+    def test_weight_refusals(self):
+        with pytest.raises(InvalidWeightsError, match=r"^at least one weight is required$"):
+            CyclicQuotientType(3, ())
+        with pytest.raises(InvalidWeightsError, match=r"^weights must be integers, got 1\.5$"):
+            CyclicQuotientType(3, (1.5,))
 
 
 class TestPolynomial:
@@ -112,6 +120,8 @@ class TestPolynomial:
             InvalidWeightsError, match=r"^exponent entries must be non-negative integers, got True$"
         ):
             Polynomial.monomial((True, 0))
+        with pytest.raises(DimensionError, match=r"^variable index 3 out of range 1\.\.2$"):
+            Polynomial.variable(2, 3)
 
 
 class TestSemiInvariantClass:
@@ -135,6 +145,10 @@ class TestSemiInvariantClass:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(UndefinedWeightError):
             semi_invariant_class(Polynomial.zero(2), CyclicQuotientType(2, (1, 1)))
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(DimensionError, match=r"^polynomial has 3 variables, type has 2$"):
+            semi_invariant_class(Polynomial.variable(3, 1), CyclicQuotientType(3, (1, 2)))
 
     def test_coordinates_recover_weights(self):
         rng = random.Random(11)
@@ -221,6 +235,24 @@ class TestBinomialRelation:
         assert rel.basis == ((0, 6), (6, 0), (1, 1))
         assert rel.exponents == (1, 1, 6)
 
+    def test_every_three_generator_type_up_to_order_40(self):
+        cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
+        cases = 0
+        for m in range(1, 41):
+            for weights in itertools.product(range(m), repeat=2):
+                q = CyclicQuotientType(m, weights)
+                basis = invariant_monoid_basis(q, 2 * m).generators
+                if len(basis) != 3:
+                    continue
+                rel = binomial_relation_2d(q)
+                u, v, w = rel.basis
+                assert sorted(rel.basis) == sorted(basis)
+                assert rel.holds()
+                assert min(rel.exponents) > 0 and math.gcd(*rel.exponents) == 1
+                assert cross(u, w) * cross(w, v) > 0  # w lies strictly between u and v
+                cases += 1
+        assert cases == 3340
+
     def test_smooth_case_unsupported(self):
         with pytest.raises(UnsupportedShapeError):
             binomial_relation_2d(CyclicQuotientType(1, (1, 1)))
@@ -251,9 +283,11 @@ class TestActionLiftCheck:
         with pytest.raises(InvalidInstanceError):
             action_lift_check(4, 1, 2)
 
-    def test_sweep(self):
-        import math
+    def test_requires_positive_integers(self):
+        with pytest.raises(InvalidInstanceError, match=r"^r must be a positive integer, got 0$"):
+            action_lift_check(0, 1, 1)
 
+    def test_sweep(self):
         for r in range(1, 7):
             for m in range(1, 5):
                 for a in range(1, r + 1):
@@ -292,6 +326,10 @@ class TestSectionAndLift:
         with pytest.raises(DimensionError):
             section_type(CyclicQuotientType(2, (1, 1)), 3)
 
+    def test_one_variable_type_has_no_section(self):
+        with pytest.raises(DimensionError, match=r"^cannot take a section of a 1-variable type$"):
+            section_type(CyclicQuotientType(3, (1,)), 1)
+
 
 class TestHyperquotientType:
     def test_valid_surface(self):
@@ -316,3 +354,8 @@ class TestHyperquotientType:
         ambient = CyclicQuotientType(2, (1, 0))
         with pytest.raises(NotSemiInvariantError):
             HyperquotientType(ambient, poly(2, {(1, 0): 1, (0, 1): 1}), 0)
+
+    def test_variable_count_mismatch(self):
+        ambient = CyclicQuotientType(3, (1, 2))
+        with pytest.raises(DimensionError, match=r"^equation has 3 variables, ambient type has 2$"):
+            HyperquotientType(ambient, Polynomial.variable(3, 1), 1)
