@@ -189,10 +189,6 @@ def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
 # JSON-friendly conversions (deterministic, rationals as "p/q")
 
 
-def _vec(values) -> list:
-    return list(values)
-
-
 def _fracvec(values) -> list:
     return [format_rational(v) for v in values]
 
@@ -200,25 +196,25 @@ def _fracvec(values) -> list:
 def _system_dict(system: wideal.WeightSystem) -> dict:
     return {
         "notation": system.notation(),
-        "weights": _vec(system.weights),
+        "weights": list(system.weights),
         "m": system.m,
         "lcm": system.lcm,
     }
 
 
 def _quotient_dict(q: quotient.CyclicQuotientType) -> dict:
-    return {"notation": q.notation(), "m": q.m, "weights": _vec(q.weights)}
+    return {"notation": q.notation(), "m": q.m, "weights": list(q.weights)}
 
 
 def _instance_dict(inst: lifting.LiftInstance) -> dict:
     return {
-        "base_weights": _vec(inst.base_weights),
+        "base_weights": list(inst.base_weights),
         "m": inst.m,
         "multiplier": inst.multiplier,
         "normalization_factor": inst.normalization_factor,
         "base_lcm": inst.base_lcm,
         "lifted_weight": inst.lifted_weight,
-        "weights": _vec(inst.weights),
+        "weights": list(inst.weights),
         "step": inst.step,
     }
 
@@ -226,9 +222,9 @@ def _instance_dict(inst: lifting.LiftInstance) -> dict:
 def _check_dict(report: lifting.CheckReport) -> dict:
     v = report.counterexample
     witness = None if v is None else {
-        "d": v.d, "monomial": _vec(v.monomial), "explanation": v.explanation
+        "d": v.d, "monomial": list(v.monomial), "explanation": v.explanation
     }
-    return {"d_range": _vec(report.d_range), "status": report.status, "counterexample": witness}
+    return {"d_range": list(report.d_range), "status": report.status, "counterexample": witness}
 
 
 def integer(text: str) -> int:
@@ -246,7 +242,7 @@ def _csv_ints(text: str, what: str) -> tuple:
 
 
 def _relation_dict(rel: quotient.BinomialRelation) -> dict:
-    return {"basis": [_vec(v) for v in rel.basis], "exponents": _vec(rel.exponents)}
+    return {"basis": [list(v) for v in rel.basis], "exponents": list(rel.exponents)}
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +277,7 @@ def _cmd_fan(system: wideal.WeightSystem, params: dict):
     result = {
         "system": _system_dict(system),
         "rays": [_fracvec(ray) for ray in fan.rays],
-        "cones": [_vec(cone) for cone in fan.cones],
+        "cones": [list(cone) for cone in fan.cones],
         "subdivision_check": {"grid": grid, "ok": True},
         "cone_indices": [blowup.cone_index(fan, i) for i in range(1, fan.n + 1)],
     }
@@ -295,7 +291,7 @@ def _cmd_ideal(system: wideal.WeightSystem, params: dict):
         "system": _system_dict(system),
         "k": format_rational(ideal.k),
         "threshold_numerator": format_rational(ideal.threshold_numerator),
-        "generators": [_vec(g) for g in ideal.gens],
+        "generators": [list(g) for g in ideal.gens],
         "monomials_below": wideal.count_below(system, k),
     }
     return result, [], True
@@ -305,7 +301,7 @@ def _cmd_wt(system: wideal.WeightSystem, params: dict):
     f = parse_polynomial(params["poly"], nvars=system.n)
     weight = wideal.polynomial_weight(f, system)
     per_monomial = [
-        {"exponents": _vec(s), "weight": format_rational(wideal.monomial_weight(s, system))}
+        {"exponents": list(s), "weight": format_rational(wideal.monomial_weight(s, system))}
         for s in f.support()
     ]
     result = {
@@ -326,7 +322,7 @@ def _cmd_pushforward(system: wideal.WeightSystem, params: dict):
         "multiplicity": format_rational(report.multiplicity),
         "eigenvalue_class": report.eigenvalue_class,
         "levels": [
-            {"a": rec.a, "generators": [_vec(g) for g in rec.ideal.gens]}
+            {"a": rec.a, "generators": [list(g) for g in rec.ideal.gens]}
             for rec in report.records
         ],
     }
@@ -383,7 +379,7 @@ def _cmd_chain(start, params: dict):
     result = {
         "start": start.notation(),
         "initial_type": _quotient_dict(report.initial_type),
-        "initial_weights": _vec(report.initial_weights),
+        "initial_weights": list(report.initial_weights),
         "d_max": report.d_max,
         "status": report.status,
         "halted_at": report.halted_at,
@@ -410,7 +406,7 @@ def _cmd_invariants(target, params: dict):
         "type": _quotient_dict(target),
         "degree_bound": basis.degree_bound,
         "complete": basis.complete,
-        "basis": [_vec(g) for g in basis.generators],
+        "basis": [list(g) for g in basis.generators],
         "relation": None,
     }
     notes = []
@@ -453,15 +449,15 @@ def _cmd_example33(_, params: dict):
         "m": m,
         "a": a,
         "surface_type": _quotient_dict(surface),
-        "surface_basis": [_vec(g_) for g_ in basis.generators],
+        "surface_basis": [list(g_) for g_ in basis.generators],
         "basis_ok": basis_ok,
         "relation": relation_payload,
         "relation_ok": relation_ok,
         "action_lift": {
             "ok": action.ok,
             "group_order": action.group_order,
-            "induced_weights": _vec(action.induced),
-            "expected_weights": _vec(action.expected),
+            "induced_weights": list(action.induced),
+            "expected_weights": list(action.expected),
         },
         "equation": g.text(),
         "eigenvalue_class": eig,
@@ -498,9 +494,9 @@ def _cmd_truncation(system: wideal.WeightSystem, params: dict):
         "d": report.d,
         "equal": report.equal,
         "containment_ok": report.containment_ok,
-        "witness": None if report.witness is None else _vec(report.witness),
-        "truncation_generators": [_vec(g) for g in report.truncation.gens],
-        "power_generators": [_vec(g) for g in report.power_gens],
+        "witness": None if report.witness is None else list(report.witness),
+        "truncation_generators": [list(g) for g in report.truncation.gens],
+        "power_generators": [list(g) for g in report.power_gens],
     }
     return result, [], True
 

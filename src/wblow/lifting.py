@@ -19,13 +19,14 @@ W's residue class mod A in the semigroup of section weights fails too.
 Whether W fails depends only on its residue: the failing residues at degree
 d are (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
 s = d*b + delta if delta < 0 (all of them once |delta| >= A).  So each degree
-looks up the least minimum of min(|delta|, A) classes.  The minima come
-from a bitset of the semigroup's elements below L, a Python int built once
-per sweep by shift-and-or and dropped with it: L is the sweep's largest
-threshold d*b - min(a*b, A) or F + 1 + A, F being Brauer's bound on the
-Frobenius number of the section weights (Amer. J. Math. 64 (1942)),
-whichever is smaller, and 1 once every class fails.  delta = 0 leaves no
-failing residue, so derived instances pass without the bitset being built.
+looks up the least minimum of those classes: one AND of a bitset of the
+semigroup's elements below L with a mask of the failing residues.  The
+bitset is a Python int built once per sweep by shift-and-or and dropped
+with it: L is the sweep's largest threshold d*b - min(a*b, A) or F + 1 + A,
+F being Brauer's bound on the Frobenius number of the section weights
+(Amer. J. Math. 64 (1942)), whichever is smaller, and 1 once every class
+fails.  delta = 0 leaves no failing residue, so derived instances pass
+without the bitset being built.
 """
 
 from __future__ import annotations
@@ -144,31 +145,31 @@ class CheckReport:
         return "pass" if self.passed else "fail"
 
 
-def _least_set_bit(blocks: list, modulus: int, start: int, count: int, below: int):
+def _least_set_bit(bits: int, modulus: int, start: int, count: int):
     """The least class minimum of residues start .. start + count - 1 mod modulus, else inf.
 
-    ``blocks[k]`` holds bits k*modulus .. (k + 1)*modulus - 1 of the
-    semigroup bitset, shifted down to bit 0, so the first block with a set
-    bit in the window holds the least minimum.  Blocks from ``below`` on
-    are not read; the value returned may still reach past ``below``.
+    The window of those residues, wrapped mod modulus, is copied across the
+    bitset by doubling, so one AND gives the set bits of those classes.  A
+    window bit past modulus stands for a residue the wrap already set.
     """
     window = ((1 << count) - 1) << start
     window |= window >> modulus  # the residues past modulus wrap to 0
-    for low, block in zip(range(0, below, modulus), blocks):
-        hit = block & window
-        if hit:
-            return low + (hit & -hit).bit_length() - 1
-    return math.inf
+    width = modulus
+    while width < bits.bit_length():
+        window |= window << width
+        width += width
+    hit = bits & window
+    return (hit & -hit).bit_length() - 1 if hit else math.inf
 
 
-def _semigroup_blocks(inst: LiftInstance, d_max: int) -> list:
-    """The sums of section weights below L, as a bitset cut into blocks of A bits.
+def _semigroup_bits(inst: LiftInstance, d_max: int) -> int:
+    """The sums of section weights below L, as a bitset.
 
-    Bit r of block k is set iff k*A + r < L is a sum of section weights, so
-    the least set bit of a class mod A is that class's minimum.  Only the
-    minima below top = d_max*b - min(a*b, A), the sweep's largest
-    threshold, can fail, and L is the least of three bounds past which no
-    minimum that ``_violation`` looks up lies (and at least 1):
+    Bit v is set iff v < L is a sum of section weights, so the least set bit
+    of a class mod A is that class's minimum.  Only the minima below
+    top = d_max*b - min(a*b, A), the sweep's largest threshold, can fail,
+    and L is the least of three bounds past which no minimum that
+    ``_violation`` looks up lies (and at least 1):
     - top;
     - F + g + lcm(g, A), where g is the gcd of the section weights and
       F = sum over i of lcm(a_{i+1}, d_i) - sum of a_i, with a_1 <= ... <=
@@ -183,7 +184,8 @@ def _semigroup_blocks(inst: LiftInstance, d_max: int) -> list:
     Each lcm(a_{i+1}, d_i) divides b, so F < (k - 1)*b; with |delta| < A,
     b < 2A/a, so for g = 1, L < (2k - 1)*A + 1: the bitset has fewer bits
     than twice the k*A steps of a round-robin table of the class minima,
-    and at most 2k - 1 blocks.  ``arith.add_multiples`` builds it.
+    and a window of A bits reaches across it in at most
+    ceil(log2(2k - 1)) doublings.  ``arith.add_multiples`` builds it.
     """
     base, a_n = inst.base_weights, inst.lifted_weight
     ab = inst.multiplier * inst.base_lcm
@@ -194,26 +196,22 @@ def _semigroup_blocks(inst: LiftInstance, d_max: int) -> list:
     limit = max(1, min(d_max * inst.base_lcm - min(ab, a_n), frobenius + g + math.lcm(g, a_n)))
     if abs(a_n - ab) >= a_n:
         limit = 1
-    reach = 1
+    bits = 1
     for w in base:
-        reach = add_multiples(reach, w, (limit - 1) // w, limit - 1)
-    mask = (1 << a_n) - 1
-    return [reach >> low & mask for low in range(0, limit, a_n)]
+        bits = add_multiples(bits, w, (limit - 1) // w, limit - 1)
+    return bits
 
 
-def _violation(inst: LiftInstance, d: int, blocks: list) -> Violation | None:
+def _violation(inst: LiftInstance, d: int, bits: int) -> Violation | None:
     """The witness at the least failing class minimum, or None when degree d passes.
 
     The failing classes are (s + j) mod A for j < min(|delta|, A), s = d*b
     for delta > 0 and d*b + delta for delta < 0; a minimum mu in one of them
     fails iff it lies below d*b - min(a*b, A).  ``_least_set_bit`` finds
-    the least minimum of those classes in the blocks of the semigroup
-    bitset below L (``_semigroup_blocks``): it reads at most ceil(L/A)
-    blocks and tests the window's bits of each at once, so at most
-    min(|delta|, A) * (ceil(L/A) + 1) bit tests per degree, and no list of
-    A entries is allocated.  The least such mu is re-checked against the
-    definition; the witness prefix is the lexicographically least one of
-    weight mu, from ``arith.lex_least``.
+    the least minimum of those classes by one AND of the semigroup bitset
+    (``_semigroup_bits``) with their mask.  The least such mu is re-checked
+    against the definition; the witness prefix is the lexicographically
+    least one of weight mu, from ``arith.lex_least``.
     """
     a_n = inst.lifted_weight
     ab = inst.multiplier * inst.base_lcm
@@ -221,7 +219,7 @@ def _violation(inst: LiftInstance, d: int, blocks: list) -> Violation | None:
     db = d * inst.base_lcm
     bound = db - min(ab, a_n)
     start = (db if delta > 0 else db + delta) % a_n
-    w_prefix = _least_set_bit(blocks, a_n, start, min(abs(delta), a_n), bound)
+    w_prefix = _least_set_bit(bits, a_n, start, min(abs(delta), a_n))
     if w_prefix >= bound:
         return None
 
@@ -259,15 +257,15 @@ def _sweep(inst: LiftInstance, degrees: range, what: str) -> CheckReport:
     The degrees are counted from the range's bounds: ``len`` overflows past
     ``sys.maxsize``.  The class minima are looked up in a bitset of the
     semigroup below the sweep's largest threshold d*b - min(a*b, A) and
-    below Brauer's bound on them (``_semigroup_blocks``).  With delta = 0
+    below Brauer's bound on them (``_semigroup_bits``).  With delta = 0
     nothing is built, charged all the same.
     """
     steps = (len(inst.base_weights) + degrees.stop - degrees.start) * inst.lifted_weight
     check_enum_budget(steps, what)
     if inst.is_derived:
         return CheckReport(inst, degrees, None)
-    blocks = _semigroup_blocks(inst, degrees.stop - 1)
-    v = next(filter(None, (_violation(inst, d, blocks) for d in degrees)), None)
+    bits = _semigroup_bits(inst, degrees.stop - 1)
+    v = next(filter(None, (_violation(inst, d, bits) for d in degrees)), None)
     return CheckReport(inst, degrees, v)
 
 

@@ -272,6 +272,23 @@ class TestExceptionalValuation:
         with pytest.raises(UndefinedWeightError):
             exceptional_valuation(Polynomial.zero(2), WeightSystem((1, 1), 1), 1)
 
+    def test_a_wrong_chart_column_is_caught(self, monkeypatch):
+        import wblow.blowup as blowup_mod
+
+        real = blowup_mod.chart
+
+        def skewed(system, i):  # column i, the barred coordinate's exponents, off by one
+            ch = real(system, i)
+            rows = tuple(row[:i - 1] + (row[i - 1] + 1,) + row[i:] for row in ch.numerators)
+            return dataclasses.replace(ch, numerators=rows)
+
+        monkeypatch.setattr(blowup_mod, "chart", skewed)
+        with pytest.raises(
+            InternalConsistencyError,
+            match="^chart 2 reads vanishing order 3 but the weight valuation is 2$",
+        ):
+            exceptional_valuation(Polynomial.variable(2, 1), WeightSystem((2, 3), 1), 2)
+
     def test_agrees_with_weight_on_random_suite(self):
         rng = random.Random(55)
         for _ in range(40):

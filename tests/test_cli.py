@@ -64,6 +64,13 @@ class TestExample33Command:
         assert result["eigenvalue_class"] == 0
         assert result["checks_passed"] is True
 
+    def test_trivial_surface_has_no_relation(self, capsys):
+        # r*m = 1: the surface 1/1(0,0) has a 2-element basis, so no binomial relation
+        assert main(["example33", "--r", "1", "--m", "1", "--a", "1", "--format", "json"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["surface_basis"] == [[0, 1], [1, 0]]
+        assert (result["relation"], result["relation_ok"], result["checks_passed"]) == (None, False, False)
+
     def test_larger_case(self):
         report = run_ok("example33", r=3, m=2, a=2)
         assert report.result["checks_passed"] is True
@@ -420,7 +427,7 @@ class TestMainEntry:
         assert payload["result"]["cone_indices"] == [1] * 6
 
     def test_lift_check_sweep_over_budget_exits_1(self, capsys, monkeypatch):
-        # charged (2 + 10^8) * 2 residue-table steps before anything sized by dmax exists
+        # charged (n - 1 + degrees) * A = (2 + 10^8) * 2 sweep steps before anything sized by dmax exists
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
         argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1",
                 "--dmax", "100000000", "--format", "json"]
@@ -602,6 +609,14 @@ class TestMainEntry:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_other_value_errors_in_rendering_propagate(self, monkeypatch):
+        def broken(report):
+            raise ValueError("an unrelated fault")
+
+        monkeypatch.setattr(Report, "to_json", broken)
+        with pytest.raises(ValueError, match="an unrelated fault"):
+            main(["wt", "1/1(1,9)", "--poly", "x2", "--format", "json"])
+
     def test_over_long_budget_count_is_an_enumeration_limit(self, capsys):
         # the nominal box (10^4300)^2 is too long to print, so the refusal names its size in bits
         assert main(["ideal", "1/1(1,1)", "--k", NINES, "--format", "json"]) == 1
@@ -770,6 +785,10 @@ class TestErrorPaths:
             # argparse takes a value that starts with '-' and is not a number for a flag
             (None, ["ideal", "1/1(1)", "--k", "-1/2"],
              "invalid-instance", "argument --k: expected one argument"),
+            (None, ["invariants", "1/0(1,2)"],
+             "invalid-weights", "group order must be a positive integer, got 0"),
+            (None, ["wt", "1/1(1,2)", "--poly", "x1^0"],
+             "parse-error", "exponents must be positive (position 5)"),
         ],
     )
     def test_exit_1_with_kind_and_message(self, capsys, monkeypatch, env, argv, kind, message):

@@ -36,3 +36,9 @@ def test_importing_the_cli_does_not_load_lifting():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "wblow.cli" in loaded and "wblow.lifting" not in loaded
+
+
+def test_main_module_imports_without_running():
+    # `python -m wblow` runs it as __main__; imported under its own name it only binds the entry point
+    entry = importlib.import_module("wblow.__main__")
+    assert entry.main is importlib.import_module("wblow.cli").main

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -299,7 +300,7 @@ class TestSemigroupBitset:
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases(), st.data())
-    @example(lift_case((6, 10, 15), 1, 1, 40, 1), None)  # A = 31, L = 61: two blocks
+    @example(lift_case((6, 10, 15), 1, 1, 40, 1), None)  # A = 31, L = 61: one doubling
     def test_least_set_bit_is_the_least_class_minimum(self, case, data):
         import wblow.lifting as lifting_mod
 
@@ -307,7 +308,7 @@ class TestSemigroupBitset:
         a_n, ab = inst.lifted_weight, inst.multiplier * inst.base_lcm
         if inst.is_derived:
             return
-        blocks = lifting_mod._semigroup_blocks(inst, d_max)
+        bits = lifting_mod._semigroup_bits(inst, d_max)
         top = d_max * inst.base_lcm - min(ab, a_n)
         table = class_minima(inst.base_weights, a_n)
         windows = [(start, count) for start in range(a_n) for count in (1, a_n // 2 + 1, a_n)]
@@ -318,7 +319,7 @@ class TestSemigroupBitset:
         for start, count in windows:
             for below in (1, min(a_n, top), top):  # no minimum past top is looked up
                 want = min(table[(start + j) % a_n] for j in range(count))
-                got = lifting_mod._least_set_bit(blocks, a_n, start, count, below)
+                got = lifting_mod._least_set_bit(bits, a_n, start, count)
                 assert min(got, below) == min(want, below), (start, count, below)
 
 
@@ -331,13 +332,13 @@ class TestResidueCrossCheck:
 
         real = lifting_mod._least_set_bit
 
-        def altered(blocks, modulus, start, count, below):
+        def altered(bits, modulus, start, count):
             # sections (1, 2), a = 1, A = 3 (delta = +1): at d = 2 the failing
             # class is 4 mod 3 = 1, whose least element 1 is read as 0,
             # a value that satisfies the decomposition
             if (1 - start) % modulus < count:
                 return 0
-            return real(blocks, modulus, start, count, below)
+            return real(bits, modulus, start, count)
 
         monkeypatch.setattr(lifting_mod, "_least_set_bit", altered)
         return mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
@@ -351,6 +352,26 @@ class TestResidueCrossCheck:
             verify_decomposition_range(lying_lookup, 6)
         with pytest.raises(InternalConsistencyError):
             verify_decomposition(lying_lookup, 2)
+
+    def test_unrealizable_weight_is_caught(self, monkeypatch, capsys):
+        import wblow.lifting as lifting_mod
+
+        # sections (1, 2), a = 1, A = 3: at d = 2 the bitset marks the minimum 1,
+        # which a subset sum that finds nothing fails to realize
+        monkeypatch.setattr(lifting_mod, "lex_least", lambda weights, caps, lo, hi: None)
+        inst = mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
+        with pytest.raises(InternalConsistencyError, match="^weight 1 marked achievable but not realizable$"):
+            verify_decomposition_range(inst, 6)
+        argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "1"]
+        assert main(argv + ["--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["error"] == {
+            "kind": "internal-consistency",
+            "message": "weight 1 marked achievable but not realizable",
+        }
 
     def test_lift_check_exits_3_with_a_typed_report(self, lying_lookup, capsys):
         argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "1"]
@@ -378,12 +399,13 @@ def traced(run):
 class TestMemory:
     """A sweep keeps nothing once it returns, and holds its degrees as a range."""
 
-    def test_residue_table_is_dropped(self, monkeypatch):
+    def test_semigroup_bitset_is_dropped(self, monkeypatch):
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
         inst = mutated_instance(make_lift_instance((211, 223), 1, 1), 1)  # A = 47,054
-        # a table of A class minima took over 1,000,000 B here; at d_max = 1 no
+        # a table of A class minima would take over 1,000,000 B; at d_max = 1 no
         # threshold is above 0, so L = 1 and only masks of A bits are made, and
-        # at 3 L = 93,674 (Brauer's bound)
+        # at 3 L = 93,674 (Brauer's bound), so the bitset and each mask copied
+        # across it take about 12,000 B
         for d_max, most in ((1, 20_000), (3, 200_000)):
             kept, peak = traced(lambda: verify_decomposition_range(inst, d_max))
             assert peak < most
@@ -551,6 +573,14 @@ class TestInstanceChecks:
     def test_direct_construction(self, m, multiplier, lifted, message):
         with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
             LiftInstance((1, 2), m, multiplier, 1, 2, lifted)
+
+    def test_weights_argument_is_checked(self):
+        inst = make_lift_instance((1, 2), 1, 1)
+        assert dataclasses.replace(inst, weights=(1, 2, 2)) == inst
+        with pytest.raises(
+            InternalConsistencyError, match="^weights must be base_weights plus the lifted weight$"
+        ):
+            dataclasses.replace(inst, weights=(1, 2, 5))
 
     def test_builders_raise_the_constructor_messages(self):
         inst = make_lift_instance((1, 2), 1, 1)

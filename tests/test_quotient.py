@@ -85,6 +85,18 @@ class TestPolynomial:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             poly(2, {(1, 0): 1}) + poly(3, {(1, 0, 0): 1})
+        with pytest.raises(DimensionError, match="^cannot multiply polynomials in different variable counts$"):
+            poly(2, {(1, 0): 1}) * poly(3, {(1, 0, 0): 1})
+
+    def test_immutable(self):
+        p = poly(2, {(1, 0): 1})
+        with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+            p.nvars = 3
+        assert p.nvars == 2
+
+    def test_str_is_the_text(self):
+        p = poly(3, {(1, 1, 0): 1, (0, 0, 3): 1})
+        assert str(p) == p.text() == "x3^3+x1*x2"
 
     def test_repeated_exponent_sums(self):
         p = Polynomial(2, [((1, 0), 2), ((0, 1), 1), ((1, 0), Fraction(1, 2))])
@@ -338,6 +350,7 @@ class TestHyperquotientType:
         hq = HyperquotientType(ambient, g, 0)
         assert hq.e == 0 and hq.dimension == 3
         assert hq.notation() == "1/3(1,2,1,0;0){g=x3^3+x1*x2+x4^2}"
+        assert str(hq) == hq.notation()
 
     def test_declared_class_must_match(self):
         ambient = CyclicQuotientType(4, (1, 1))

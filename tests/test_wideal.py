@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 import operator
 import random
+import re
 import tracemalloc
 
+import jsonschema
 import pytest
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +20,7 @@ from helpers import (
     sums_power_vs_truncation,
     sums_stable_b,
 )
+from wblow.cli import REPORT_SCHEMA, main
 from wblow.errors import (
     DimensionError,
     EnumerationLimitError,
@@ -56,6 +60,10 @@ class TestWeightSystem:
 
     def test_lcm(self):
         assert WeightSystem((2, 3), 5).lcm == 6
+
+    def test_str_is_the_notation(self):
+        system = WeightSystem((2, 3), 5)
+        assert str(system) == system.notation() == "1/5(2,3)"
 
 
 class TestMonomialWeight:
@@ -245,6 +253,12 @@ class TestContains:
         ideal = ideal_generators(WeightSystem((1, 4), 2), Fraction(3, 2))
         assert not contains(ideal, Polynomial.variable(2, 1))
 
+    def test_routes_that_disagree_raise(self, monkeypatch):
+        ideal = ideal_generators(WeightSystem((2, 3), 1), 6)
+        monkeypatch.setattr(wideal_mod, "polynomial_weight", lambda f, system: Fraction(0))
+        with pytest.raises(InternalConsistencyError, match="^membership routes disagree for x1\\^3"):
+            contains(ideal, poly(2, {(3, 0): 1}))
+
     def test_fuzz_routes_agree(self):
         # contains() raises InternalConsistencyError itself if routes split;
         # this fuzz drives it across random systems and polynomials.
@@ -331,6 +345,17 @@ class TestProductVsTruncation:
 UNEQUAL = WeightSystem((6, 10, 15, 1), 1)
 
 
+def assert_exit_3(capsys, message):
+    """`truncation` on UNEQUAL at b = 30, d = 2 gives the internal-consistency report, exit 3."""
+    argv = ["truncation", "1/1(6,10,15,1)", "--b", "30", "--d", "2", "--format", "json"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["error"] == {"kind": "internal-consistency", "message": message}
+
+
 def report_tuple(report):
     return (report.truncation.gens, report.power_gens, report.equal, report.witness, report.containment_ok)
 
@@ -393,6 +418,31 @@ class TestPowerByMembership:
         monkeypatch.setenv("WBLOW_MAX_ENUM", "1000")
         with pytest.raises(EnumerationLimitError, match="needs 241001 enumeration steps"):
             product_vs_truncation(WeightSystem((2, 3), 1), 600, 2)
+
+    def test_dropped_truncation_generator_is_caught(self, monkeypatch, capsys):
+        # a minimal generator of I_60 that the power also holds, left out of the level-60
+        # walk: the power then holds a monomial that weighs 60 but no generator divides
+        trunc, power = sums_power_vs_truncation(UNEQUAL.weights, 30, 2)[:2]
+        dropped = next(g for g in trunc if g in power)
+        real = wideal_mod.minimal_generators_numerator
+        monkeypatch.setattr(
+            wideal_mod, "minimal_generators_numerator",
+            lambda w, t: tuple(g for g in real(w, t) if t != 60 or g != dropped),
+        )
+        with pytest.raises(InternalConsistencyError, match="^containment routes disagree"):
+            product_vs_truncation(UNEQUAL, 30, 2)
+        assert_exit_3(capsys, "containment routes disagree in power-vs-truncation")
+
+    def test_witnesses_that_disagree_raise(self, monkeypatch, capsys):
+        # the membership sweep made to name the first truncation generator instead
+        monkeypatch.setattr(wideal_mod, "_first_power_gap", lambda weights, t, d, top=None: (d, top[0]))
+        message = (
+            "the d-fold sums give the witness (4, 2, 1, 1), the membership sweep (0, 0, 0, 60)"
+            " at level 2"
+        )
+        with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+            product_vs_truncation(UNEQUAL, 30, 2)
+        assert_exit_3(capsys, message)
 
     def test_unequal_system_is_stable_from_60(self):
         assert find_stable_b(UNEQUAL, 3, 8) == 60
