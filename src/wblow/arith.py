@@ -109,24 +109,36 @@ def add_multiples(reach: int, weight: int, cap: int, hi: int) -> int:
     return reach
 
 
-def lex_least(weights: Sequence[int], caps: Sequence[int], lo: int, hi: int) -> ExpVec | None:
+def suffix_sums(weights: Sequence[int], caps: Sequence[int], hi: int) -> list:
+    """The bitsets of the sums of the last k entries, each within its cap, cut above ``hi``.
+
+    Entry k of the list has bit w set iff the last k entries can weigh
+    w <= hi; entry 0 is 1 (the empty sum) and the last one holds the sums
+    of all the entries.  :func:`add_multiples` builds each entry from the
+    one before, so about n * log2(max cap) shift-and-or steps build them all
+    (Martello & Toth's suffix bitsets).
+    """
+    suffixes = [1]
+    for w, c in zip(reversed(weights), reversed(caps)):
+        suffixes.append(add_multiples(suffixes[-1], w, c, hi))
+    return suffixes
+
+
+def lex_walk(
+    weights: Sequence[int], caps: Sequence[int], suffixes: list, lo: int, hi: int
+) -> ExpVec | None:
     """The lexicographically least h <= caps with lo <= sum(h_i * weights_i) <= hi, or None.
 
-    A bounded subset sum on Python ints used as bitsets: bit w of a suffix
-    bitset says that the entries after some position, each within its cap,
-    can weigh w <= hi.  :func:`add_multiples` builds each suffix from the
-    next, so about n * log2(max cap) shift-and-or steps build them all.  The
-    entries are then fixed one at a time from the first, each to the least
-    value that the suffix after it can still complete into [lo, hi].
+    ``suffixes[k]``, for k < n = len(weights), must hold the weights of the
+    last k entries within their caps up to ``hi`` at least, as
+    :func:`suffix_sums` builds them; entries from n on are not read.  It
+    needs hi >= max(lo, 0), which :func:`lex_least` checks.  The entries are
+    fixed one at a time from the first, each to the least value that the
+    suffix after it can still complete into [lo, hi].
     """
-    if hi < max(lo, 0):
-        return None
-    suffixes = [1]  # suffixes[k]: the weights of the last k entries
-    for w, c in zip(reversed(weights[1:]), reversed(caps[1:])):
-        suffixes.append(add_multiples(suffixes[-1], w, c, hi))
     out = []
     window = (1 << (hi - lo + 1)) - 1  # [lo, hi] keeps its width as entries are fixed
-    for w, c, reach in zip(weights, caps, reversed(suffixes)):
+    for w, c, reach in zip(weights, caps, reversed(suffixes[:len(weights)])):
         for t in range(min(c, hi // w) + 1):
             if lo <= t * w or reach >> (lo - t * w) & window:  # every suffix reaches weight 0
                 break
@@ -135,6 +147,18 @@ def lex_least(weights: Sequence[int], caps: Sequence[int], lo: int, hi: int) -> 
         out.append(t)
         lo, hi = lo - t * w, hi - t * w
     return tuple(out)
+
+
+def lex_least(weights: Sequence[int], caps: Sequence[int], lo: int, hi: int) -> ExpVec | None:
+    """The lexicographically least h <= caps with lo <= sum(h_i * weights_i) <= hi, or None.
+
+    A bounded subset sum on Python ints used as bitsets: :func:`suffix_sums`
+    builds the sums of every suffix after the first entry up to ``hi``, and
+    :func:`lex_walk` reads h off them.
+    """
+    if hi < max(lo, 0):
+        return None
+    return lex_walk(weights, caps, suffix_sums(weights[1:], caps[1:], hi), lo, hi)
 
 
 def max_enum_points() -> int:

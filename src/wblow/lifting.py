@@ -20,22 +20,26 @@ Whether W fails depends only on its residue: the failing residues at degree
 d are (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
 s = d*b + delta if delta < 0 (all of them once |delta| >= A).  So each degree
 looks up the least minimum of those classes: one AND of a bitset of the
-semigroup's elements below L with a mask of the failing residues.  The
-bitset is a Python int built once per sweep by shift-and-or and dropped
-with it: L is the sweep's largest threshold d*b - min(a*b, A) or F + 1 + A,
-F being Brauer's bound on the Frobenius number of the section weights
-(Amer. J. Math. 64 (1942)), whichever is smaller, and 1 once every class
-fails.  delta = 0 leaves no failing residue, so derived instances pass
-without the bitset being built.
+semigroup's elements below L with a mask of the failing residues.  That
+bitset is the last of the section's suffix bitsets, Python ints in which
+bit v of suffix k is set iff v < L is a sum of the last k section weights,
+and the witness prefix is read off the same suffixes.  They are built by
+shift-and-or once per sweep, or once per mutation study for all its
+offsets, and dropped with it: L is the sweep's largest threshold
+d*b - min(a*b, A) or F + 1 + A, F being Brauer's bound on the Frobenius
+number of the section weights (Amer. J. Math. 64 (1942)), whichever is
+smaller, and 1 once every class fails; a study takes its offsets' largest
+L.  delta = 0 leaves no failing residue, so derived instances pass without
+the suffixes being built.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .arith import add_multiples, ceil_div, check_enum_budget, lex_least, normalize_weights
+from .arith import ceil_div, check_enum_budget, lex_walk, normalize_weights, suffix_sums
 from .errors import InternalConsistencyError, InvalidInstanceError
 from .quotient import CyclicQuotientType, HyperquotientType, lift_type
 
@@ -116,7 +120,8 @@ def mutated_instance(inst: LiftInstance, delta: int) -> LiftInstance:
     """Copy with the lifted weight offset by delta; the constructor refuses a non-positive one."""
     if delta == 0:
         raise InvalidInstanceError("delta 0 is not a mutation")
-    return dataclasses.replace(inst, lifted_weight=inst.multiplier * inst.base_lcm + delta)
+    return LiftInstance(inst.base_weights, inst.m, inst.multiplier, inst.normalization_factor,
+                        inst.base_lcm, inst.multiplier * inst.base_lcm + delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,14 +167,14 @@ def _least_set_bit(bits: int, modulus: int, start: int, count: int):
     return (hit & -hit).bit_length() - 1 if hit else math.inf
 
 
-def _semigroup_bits(inst: LiftInstance, d_max: int) -> int:
-    """The sums of section weights below L, as a bitset.
+def _sum_limit(inst: LiftInstance, d_max: int, lifted_weights) -> int:
+    """L, the bound below which sweeps to d_max read the sums of section weights.
 
-    Bit v is set iff v < L is a sum of section weights, so the least set bit
-    of a class mod A is that class's minimum.  Only the minima below
-    top = d_max*b - min(a*b, A), the sweep's largest threshold, can fail,
-    and L is the least of three bounds past which no minimum that
-    ``_violation`` looks up lies (and at least 1):
+    The sweeps are of ``inst``'s section with each of ``lifted_weights``
+    appended, and L is the largest of theirs.  With A appended, only the
+    class minima below top = d_max*b - min(a*b, A), the sweep's largest
+    threshold, can fail, and its L is the least of three bounds past which
+    no minimum that ``_violation`` looks up lies (and at least 1):
     - top;
     - F + g + lcm(g, A), where g is the gcd of the section weights and
       F = sum over i of lcm(a_{i+1}, d_i) - sum of a_i, with a_1 <= ... <=
@@ -182,36 +187,49 @@ def _semigroup_bits(inst: LiftInstance, d_max: int) -> int:
     - 1 once |delta| >= A: every class then fails, and the least minimum is
       0, the empty sum.
     Each lcm(a_{i+1}, d_i) divides b, so F < (k - 1)*b; with |delta| < A,
-    b < 2A/a, so for g = 1, L < (2k - 1)*A + 1: the bitset has fewer bits
-    than twice the k*A steps of a round-robin table of the class minima,
-    and a window of A bits reaches across it in at most
-    ceil(log2(2k - 1)) doublings.  ``arith.add_multiples`` builds it.
+    b < 2A/a, so for g = 1, L < (2k - 1)*A + 1: a bitset below L has fewer
+    bits than twice the k*A steps of a round-robin table of the class
+    minima, and a window of A bits reaches across it in at most
+    ceil(log2(2k - 1)) doublings.
     """
-    base, a_n = inst.base_weights, inst.lifted_weight
     ab = inst.multiplier * inst.base_lcm
-    weights = sorted(base)
+    weights = sorted(inst.base_weights)
     g, frobenius = weights[0], -sum(weights)
     for w in weights[1:]:
         frobenius, g = frobenius + math.lcm(g, w), math.gcd(g, w)
-    limit = max(1, min(d_max * inst.base_lcm - min(ab, a_n), frobenius + g + math.lcm(g, a_n)))
-    if abs(a_n - ab) >= a_n:
-        limit = 1
-    bits = 1
-    for w in base:
-        bits = add_multiples(bits, w, (limit - 1) // w, limit - 1)
-    return bits
+    limit = 1
+    for a_n in lifted_weights:
+        if abs(a_n - ab) < a_n:
+            top = d_max * inst.base_lcm - min(ab, a_n)
+            limit = max(limit, min(top, frobenius + g + math.lcm(g, a_n)))
+    return limit
 
 
-def _violation(inst: LiftInstance, d: int, bits: int) -> Violation | None:
+def _semigroup_bits(base: tuple, limit: int) -> list:
+    """The suffix bitsets of the section weights below limit; the last is the semigroup's.
+
+    Entry k has bit v set iff v < limit is a sum of the last k section
+    weights (``arith.suffix_sums``), so the least set bit of a class mod A
+    in the last entry is that class's minimum, and ``_violation`` reads the
+    witness prefix off the entries before it.  A limit above a sweep's own
+    L adds no class minimum below any of its thresholds: a class minimum
+    below L is read the same, and L bounds every one that is looked up.
+    """
+    return suffix_sums(base, [(limit - 1) // w for w in base], limit - 1)
+
+
+def _violation(inst: LiftInstance, d: int, chain: list) -> Violation | None:
     """The witness at the least failing class minimum, or None when degree d passes.
 
     The failing classes are (s + j) mod A for j < min(|delta|, A), s = d*b
     for delta > 0 and d*b + delta for delta < 0; a minimum mu in one of them
     fails iff it lies below d*b - min(a*b, A).  ``_least_set_bit`` finds
-    the least minimum of those classes by one AND of the semigroup bitset
-    (``_semigroup_bits``) with their mask.  The least such mu is re-checked
-    against the definition; the witness prefix is the lexicographically
-    least one of weight mu, from ``arith.lex_least``.
+    the least minimum of those classes by one AND of the semigroup bitset,
+    the last of the suffix bitsets ``chain`` (``_semigroup_bits``), with
+    their mask.  The least such mu is re-checked against the definition;
+    the witness prefix is the lexicographically least one of weight mu,
+    which ``arith.lex_walk`` reads off the suffix bitsets, and its weight is
+    recomputed.
     """
     a_n = inst.lifted_weight
     ab = inst.multiplier * inst.base_lcm
@@ -219,7 +237,7 @@ def _violation(inst: LiftInstance, d: int, bits: int) -> Violation | None:
     db = d * inst.base_lcm
     bound = db - min(ab, a_n)
     start = (db if delta > 0 else db + delta) % a_n
-    w_prefix = _least_set_bit(bits, a_n, start, min(abs(delta), a_n))
+    w_prefix = _least_set_bit(chain[-1], a_n, start, min(abs(delta), a_n))
     if w_prefix >= bound:
         return None
 
@@ -232,9 +250,9 @@ def _violation(inst: LiftInstance, d: int, bits: int) -> Violation | None:
             " but satisfies the decomposition"
         )
     s_n = min(first_top, first_shifted)
-    caps = [w_prefix // w for w in inst.base_weights]
-    prefix = lex_least(inst.base_weights, caps, w_prefix, w_prefix)
-    if prefix is None:
+    base = inst.base_weights
+    prefix = lex_walk(base, [w_prefix // w for w in base], chain, w_prefix, w_prefix)
+    if prefix is None or sum(map(mul, prefix, base)) != w_prefix:
         raise InternalConsistencyError(f"weight {w_prefix} marked achievable but not realizable")
     monomial = prefix + (s_n,)
     lower = (d - inst.multiplier) * inst.base_lcm
@@ -251,21 +269,31 @@ def _violation(inst: LiftInstance, d: int, bits: int) -> Violation | None:
     return Violation(d, monomial, explanation)
 
 
-def _sweep(inst: LiftInstance, degrees: range, what: str) -> CheckReport:
-    """Check the degrees in order up to the first failing one, charged (n - 1 + degrees) * A.
+def _charge(inst: LiftInstance, degrees: range, what: str) -> None:
+    """Charge a sweep over degrees (n - 1 + degrees) * A steps, before it starts.
 
     The degrees are counted from the range's bounds: ``len`` overflows past
-    ``sys.maxsize``.  The class minima are looked up in a bitset of the
-    semigroup below the sweep's largest threshold d*b - min(a*b, A) and
-    below Brauer's bound on them (``_semigroup_bits``).  With delta = 0
-    nothing is built, charged all the same.
+    ``sys.maxsize``.
     """
     steps = (len(inst.base_weights) + degrees.stop - degrees.start) * inst.lifted_weight
     check_enum_budget(steps, what)
+
+
+def _sweep(inst: LiftInstance, degrees: range, chain: list | None = None) -> CheckReport:
+    """Check the charged degrees in order up to the first failing one.
+
+    The class minima and witnesses are read off the suffix bitsets
+    ``chain`` of the section weights (``_semigroup_bits``).  A mutation
+    study passes the one chain it builds for all its offsets; otherwise the
+    sweep builds its own below L (``_sum_limit``) and drops it on return.
+    With delta = 0 nothing is built.
+    """
     if inst.is_derived:
         return CheckReport(inst, degrees, None)
-    bits = _semigroup_bits(inst, degrees.stop - 1)
-    v = next(filter(None, (_violation(inst, d, bits) for d in degrees)), None)
+    if chain is None:
+        limit = _sum_limit(inst, degrees.stop - 1, (inst.lifted_weight,))
+        chain = _semigroup_bits(inst.base_weights, limit)
+    v = next(filter(None, (_violation(inst, d, chain) for d in degrees)), None)
     return CheckReport(inst, degrees, v)
 
 
@@ -286,7 +314,9 @@ def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
     """
     if d < 1:
         raise InvalidInstanceError(f"d must be >= 1, got {d}")
-    return _sweep(inst, range(d, d + 1), f"decomposition check at degree {d}")
+    degrees = range(d, d + 1)
+    _charge(inst, degrees, f"decomposition check at degree {d}")
+    return _sweep(inst, degrees)
 
 
 def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
@@ -297,7 +327,9 @@ def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
     """
     if d_max < 1:
         raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
-    return _sweep(inst, range(1, d_max + 1), f"decomposition sweep to degree {d_max}")
+    degrees = range(1, d_max + 1)
+    _charge(inst, degrees, f"decomposition sweep to degree {d_max}")
+    return _sweep(inst, degrees)
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,13 +363,27 @@ class MutationStudy:
 
 
 def mutation_study(inst: LiftInstance, d_max: int) -> MutationStudy:
-    """Offset the lifted weight by each of -3..-1 and 1..3 that keeps it positive, and sweep d."""
+    """Offset the lifted weight by each of -3..-1 and 1..3 that keeps it positive, and sweep d.
+
+    Every offset's sweep is charged first, in offset order, as
+    ``verify_decomposition_range`` charges it.  Only then is one chain of
+    suffix bitsets built, below the largest L of the offsets
+    (``_sum_limit``), and every sweep reads it: the offsets share the
+    section weights, and a larger L changes no verdict (``_semigroup_bits``).
+    """
+    if d_max < 1:
+        raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
+    degrees, what = range(1, d_max + 1), f"decomposition sweep to degree {d_max}"
+    ab = inst.multiplier * inst.base_lcm
+    deltas = [delta for delta in (-3, -2, -1, 1, 2, 3) if ab + delta >= 1]
+    mutants = [mutated_instance(inst, delta) for delta in deltas]
+    for mut in mutants:
+        _charge(mut, degrees, what)
+    limit = _sum_limit(inst, d_max, [mut.lifted_weight for mut in mutants])
+    chain = _semigroup_bits(inst.base_weights, limit)
     outcomes = []
-    for delta in (-3, -2, -1, 1, 2, 3):
-        if inst.multiplier * inst.base_lcm + delta < 1:
-            continue
-        mut = mutated_instance(inst, delta)
-        failure = verify_decomposition_range(mut, d_max).counterexample
+    for delta, mut in zip(deltas, mutants):
+        failure = _sweep(mut, degrees, chain).counterexample
         first_fail = None if failure is None else failure.d
         outcomes.append(MutationOutcome(delta, mut.lifted_weight, first_fail))
     return MutationStudy(inst, d_max, tuple(outcomes))

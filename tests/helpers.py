@@ -11,7 +11,8 @@ minima, kept as the reference for the residue lookup at sizes the box engine
 cannot afford; it takes the minima from ``sorted_class_minima``, the sorted
 ``class_minima``, the former round-robin table, kept as the reference for
 the semigroup bitset, and builds its witnesses with ``prefix_for_weight``, the former witness builder,
-kept as the reference for ``arith.lex_least``;
+kept as the reference for ``arith.lex_walk``, the witness walk that
+``arith.lex_least`` and the lifting check share;
 ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as the
 reference for the Davenport-capped minimalization; ``staircase_min_gens`` is
 the former recursive generator walk, kept as the reference for the flat one;

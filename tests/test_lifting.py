@@ -5,6 +5,8 @@ import math
 import random
 import re
 import tracemalloc
+from operator import mul
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -14,9 +16,11 @@ from helpers import (
     box_first_violation,
     box_verify_decomposition,
     class_minima,
+    prefix_for_weight,
     scan_first_violation,
     verify_generator_lift,
 )
+from wblow.arith import lex_least
 from wblow.cli import REPORT_SCHEMA, main
 from wblow.errors import (
     EnumerationLimitError,
@@ -27,6 +31,7 @@ from wblow.errors import (
 from wblow.lifting import (
     CheckReport,
     LiftInstance,
+    MutationOutcome,
     chain_report,
     make_lift_instance,
     mutated_instance,
@@ -234,18 +239,25 @@ LCM_CAP = 420
 
 
 @st.composite
-def scan_cases(draw):
-    """(instance, d_max, d): section length 1-4, weights 1-60, multiplier 1-4,
-    the appended weight offset by delta in 1 - a*b .. 3*a*b (so the appended
-    weight runs from 1 to 4*a*b), sweeps to d_max <= 40.  A weight that would
-    push the section lcm past LCM_CAP is replaced by its gcd with the lcm so
-    far, which keeps the weight in 1-60 and the oracle's table small."""
+def sections(draw):
+    """Section weights: 1-4 of them, in 1-60.  A weight that would push the
+    section lcm past LCM_CAP is replaced by its gcd with the lcm so far,
+    which keeps the weight in 1-60 and the scan oracle's table small."""
     base, lcm = [], 1
     for w in draw(st.lists(st.integers(1, 60), min_size=1, max_size=4)):
         if math.lcm(lcm, w) > LCM_CAP:
             w = math.gcd(lcm, w)
         base.append(w)
         lcm = math.lcm(lcm, w)
+    return base
+
+
+@st.composite
+def scan_cases(draw):
+    """(instance, d_max, d): ``sections``, multiplier 1-4, the appended weight
+    offset by delta in 1 - a*b .. 3*a*b (so the appended weight runs from 1
+    to 4*a*b), sweeps to d_max <= 40."""
+    base = draw(sections())
     a = draw(st.integers(1, 4))
     inst = make_lift_instance(base, 1, a)
     ab = a * inst.base_lcm
@@ -308,7 +320,8 @@ class TestSemigroupBitset:
         a_n, ab = inst.lifted_weight, inst.multiplier * inst.base_lcm
         if inst.is_derived:
             return
-        bits = lifting_mod._semigroup_bits(inst, d_max)
+        limit = lifting_mod._sum_limit(inst, d_max, (a_n,))
+        bits = lifting_mod._semigroup_bits(inst.base_weights, limit)[-1]
         top = d_max * inst.base_lcm - min(ab, a_n)
         table = class_minima(inst.base_weights, a_n)
         windows = [(start, count) for start in range(a_n) for count in (1, a_n // 2 + 1, a_n)]
@@ -357,8 +370,8 @@ class TestResidueCrossCheck:
         import wblow.lifting as lifting_mod
 
         # sections (1, 2), a = 1, A = 3: at d = 2 the bitset marks the minimum 1,
-        # which a subset sum that finds nothing fails to realize
-        monkeypatch.setattr(lifting_mod, "lex_least", lambda weights, caps, lo, hi: None)
+        # which a witness walk that finds nothing fails to realize
+        monkeypatch.setattr(lifting_mod, "lex_walk", lambda weights, caps, suffixes, lo, hi: None)
         inst = mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
         with pytest.raises(InternalConsistencyError, match="^weight 1 marked achievable but not realizable$"):
             verify_decomposition_range(inst, 6)
@@ -410,6 +423,15 @@ class TestMemory:
             kept, peak = traced(lambda: verify_decomposition_range(inst, d_max))
             assert peak < most
             assert kept < 500_000
+
+    def test_mutation_study_drops_its_chain(self, monkeypatch):
+        monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
+        inst = make_lift_instance((211, 223), 1, 1)  # offsets give A = 47,050 .. 47,056
+        # the one chain of suffix bitsets below the offsets' largest L, about
+        # 93,680 (Brauer's bound), holds three bitsets of about 12,000 B
+        kept, peak = traced(lambda: mutation_study(inst, 3))
+        assert peak < 200_000
+        assert kept < 500_000
 
     def test_long_sweep_holds_no_list_of_degrees(self, monkeypatch):
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
@@ -481,6 +503,65 @@ class TestMutationStudy:
         study = mutation_study(inst, d_max=3)
         assert all(o.lifted_weight >= 1 for o in study.outcomes)
         assert {o.delta for o in study.outcomes} == {1, 2, 3}
+
+    def test_every_offset_is_charged_before_the_chain_is_built(self, monkeypatch):
+        import wblow.arith as arith_mod
+
+        inst = make_lift_instance((3, 5), 1, 1)  # a*b = 15: offsets +3 charge (2 + 4) * 18 = 108
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "107")
+        built = []
+        monkeypatch.setattr(arith_mod, "add_multiples", lambda *args: built.append(args))
+        message = (
+            "decomposition sweep to degree 4 needs 108 enumeration steps, over the limit of 107;"
+            " raise WBLOW_MAX_ENUM to allow it"
+        )
+        with pytest.raises(EnumerationLimitError, match=f"^{re.escape(message)}$"):
+            mutation_study(inst, 4)
+        assert built == []
+        with pytest.raises(InvalidInstanceError, match="^d_max must be >= 1, got 0$"):
+            mutation_study(inst, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(make_lift_instance, sections(), st.just(1), st.integers(1, 3)),
+           st.integers(1, 12))
+    @example(make_lift_instance((1,), 1, 1), 4)  # a*b = 1: only +1, +2, +3 apply
+    @example(make_lift_instance((1, 2), 1, 1), 4)  # a*b = 2: -1 gives A = 1 = |delta|
+    @example(make_lift_instance((1, 3), 1, 1), 5)  # a*b = 3: -2 gives A = 1 < |delta|
+    @example(make_lift_instance((1,), 1, 3), 3)
+    @example(make_lift_instance((194, 202, 9797), 1, 1), 3)
+    def test_shared_chain_matches_independent_sweeps(self, inst, d_max):
+        import wblow.lifting as lifting_mod
+
+        ab = inst.multiplier * inst.base_lcm
+        reports, chains = [], []
+        real_sweep, real_semigroup_bits = lifting_mod._sweep, lifting_mod._semigroup_bits
+
+        def sweep(*args):
+            reports.append(real_sweep(*args))
+            return reports[-1]
+
+        def semigroup_bits(*args):
+            chains.append(real_semigroup_bits(*args))
+            return chains[-1]
+
+        with mock.patch.multiple(lifting_mod, _sweep=sweep, _semigroup_bits=semigroup_bits):
+            study = mutation_study(inst, d_max)
+        assert len(chains) == 1  # one chain for every offset
+        assert [o.delta for o in study.outcomes] == [
+            delta for delta in (-3, -2, -1, 1, 2, 3) if ab + delta >= 1
+        ]
+        base = inst.base_weights
+        for outcome, report in zip(study.outcomes, reports, strict=True):
+            mut = mutated_instance(inst, outcome.delta)
+            assert report == verify_decomposition_range(mut, d_max)
+            assert report.counterexample == scan_first_violation(mut, d_max)
+            first_fail = None if report.passed else report.counterexample.d
+            assert outcome == MutationOutcome(outcome.delta, mut.lifted_weight, first_fail)
+            if not report.passed:
+                prefix = report.counterexample.monomial[:-1]
+                mu = sum(map(mul, prefix, base))
+                assert prefix == lex_least(base, [mu // w for w in base], mu, mu)
+                assert prefix == prefix_for_weight(base, mu)
 
 
 class TestChainReport:
