@@ -428,7 +428,7 @@ class TestMemory:
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
         inst = make_lift_instance((211, 223), 1, 1)  # offsets give A = 47,050 .. 47,056
         # the one chain of suffix bitsets below the offsets' largest L, about
-        # 93,680 (Brauer's bound), holds three bitsets of about 12,000 B
+        # 93,680 (Brauer's bound), holds the empty sum 1 and two bitsets of about 12,000 B
         kept, peak = traced(lambda: mutation_study(inst, 3))
         assert peak < 200_000
         assert kept < 500_000
