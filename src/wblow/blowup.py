@@ -8,29 +8,27 @@ coordinates map back by x_j -> xbar_j * xbar_i^(a_j/m).  The exceptional
 divisor is cut out by xbar_i in chart i, so the xbar_i-exponent after
 substitution is the vanishing order along it.
 
-Every fan ray and every chart exponent is an integer over the group order
-m, so the fan and the charts store integer numerators over m, the
-subdivision check and the cone indices use integer determinants, and a
-``Fraction`` is built only where a result leaves the layer (``Fan.rays``,
-valuations, strict-transform exponents, ``Chart.substitution``).
-Fractional powers are treated as formal symbols; all consequences used
-here (valuations, strict transforms) only need exponent arithmetic.
+Chart i gives x^s the xbar_i-exponent sum_j s_j a_j / m, the weight of s,
+so valuations and strict transforms read the weights directly; fractional
+powers stay formal symbols.  Every fan ray and chart exponent is an integer
+over the group order m, so the fan and the charts store integer numerators
+over m, cone indices use integer determinants, and a ``Fraction`` is built
+only where a result leaves the layer (``Fan.rays``, valuations,
+strict-transform exponents, ``Chart.substitution``).  The subdivision check
+compares the fan record with the star layout, exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import check_enum_budget
 from .errors import (
     DimensionError,
     InternalConsistencyError,
-    InvalidInstanceError,
     OutOfDomainError,
     UndefinedWeightError,
 )
@@ -52,8 +50,8 @@ class Fan:
     m*e_n, then the weights); ``rays`` is the same as exact rationals.  Cone
     i is given by the indices of its n generating rays (all unit rays but
     the i-th, plus the center).  The record itself is unvalidated so that
-    tests can corrupt it; ``build_fan`` output always satisfies the
-    invariants and ``fan_is_subdivision`` checks them.
+    tests can corrupt it; ``fan_is_subdivision`` certifies the layout that
+    ``build_fan`` always returns.
     """
 
     n: int
@@ -67,14 +65,17 @@ class Fan:
         return tuple(tuple(Fraction(v, self.m) for v in row) for row in self.numerators)
 
 
+def _star_layout(n: int, m: int) -> tuple:
+    """Rays m*e_1..m*e_n and the cones: cone i is every unit ray but the i-th, then the center."""
+    unit = tuple(tuple(m if k == j else 0 for k in range(n)) for j in range(n))
+    cones = tuple(tuple(j for j in range(n) if j != i) + (n,) for i in range(n))
+    return unit, cones
+
+
 def build_fan(system: WeightSystem) -> Fan:
     """Fan of the blow-up: orthant star-subdivided at (1/m)(a_1,...,a_n)."""
-    n, m = system.n, system.m
-    unit = tuple(tuple(m if k == j else 0 for k in range(n)) for j in range(n))
-    cones = tuple(
-        tuple(j for j in range(n) if j != i) + (n,) for i in range(n)
-    )
-    return Fan(n, m, unit + (system.weights,), cones)
+    unit, cones = _star_layout(system.n, system.m)
+    return Fan(system.n, system.m, unit + (system.weights,), cones)
 
 
 def _det(rows) -> int:
@@ -98,57 +99,21 @@ def _det(rows) -> int:
     return sign * prev
 
 
-def _adjugate(gens) -> list:
-    """Adjugate of the matrix with columns ``gens``: row k . p = det * p's k-th coordinate."""
-    n = len(gens)
-    rows = []
-    for k in range(n):
-        others = gens[:k] + gens[k + 1 :]
-        rows.append(
-            [(-1) ** (k + r) * _det([g[:r] + g[r + 1 :] for g in others]) for r in range(n)]
-        )
-    return rows
+def fan_is_subdivision(fan: Fan) -> bool:
+    """Exact O(n^2) check: the star layout of ``build_fan``, with n positive center entries.
 
-
-#: Deterministic sampling grid for the subdivision check: all integer points
-#: of [0, GRID]^n except the origin.
-SUBDIVISION_GRID = 4
-
-
-def fan_is_subdivision(fan: Fan, grid: int = SUBDIVISION_GRID) -> bool:
-    """Sanity-check the subdivision: full-dimensional cones covering the orthant.
-
-    (a) each cone's generators are linearly independent over the rationals;
-    (b) every sampled orthant point lies in some cone; (c) no sampled point
-    is interior to two cones.  Sampling uses the fixed integer grid above,
-    so the check is deterministic.  A grid below 1 samples no point, so it
-    is refused rather than reported as a check that passed; the budget is
-    charged the (grid+1)^n grid points.  The signs of D * (adjugate . p),
-    with D a cone's determinant, are those of p's cone coordinates.
+    Such a fan subdivides the orthant: with center v > 0, a point p >= 0
+    lies in cone i iff i attains min_j p_j / v_j, so the cones cover it, no
+    point is interior to two of them, and cone i has determinant
+    v_i * m^(n-1) != 0 (Cox, Little & Schenck, Toric Varieties, 3.3).  Any
+    other record, even another subdivision, is refused.
     """
-    if grid < 1:
-        raise InvalidInstanceError(f"the sample grid must be at least 1, got {grid}")
-    adjugates = []
-    for cone in fan.cones:
-        gens = [fan.numerators[k] for k in cone]
-        if len(gens) != fan.n or (det := _det(gens)) == 0:
-            return False
-        adjugates.append([[det * v for v in row] for row in _adjugate(gens)])
-
-    check_enum_budget((grid + 1) ** fan.n, "fan subdivision check")
-    for point in itertools.product(range(grid + 1), repeat=fan.n):
-        if not any(point):
-            continue
-        covered = interior = 0
-        for adj in adjugates:
-            lowest = min(sum(map(mul, row, point)) for row in adj)
-            if lowest >= 0:
-                covered += 1
-                if lowest > 0:
-                    interior += 1
-        if covered == 0 or interior > 1:
-            return False
-    return True
+    n, m = fan.n, fan.m
+    unit, cones = _star_layout(n, m)
+    if n < 1 or m < 1 or fan.numerators[:-1] != unit or fan.cones != cones:
+        return False
+    center = fan.numerators[-1]
+    return len(center) == n and min(center) > 0
 
 
 def cone_index(fan: Fan, i: int) -> int:
@@ -229,23 +194,15 @@ def _over(v: int, m: int):
 def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int) -> Fraction:
     """Vanishing order of f along the exceptional divisor, read off in one chart.
 
-    Substitutes the chart map and takes the minimal exponent numerator of
-    the chart's barred coordinate (the local equation of the divisor) over
-    the support.  The result must equal the weight valuation computed
-    directly; the two routes are compared and a mismatch raises, since they
-    agree by construction.  The direct route, run first, is the one check
-    that f is nonzero and has the system's number of variables.
+    Column i of chart i's map is the weight vector over m, so the chart
+    coordinate's exponent of x^s is its weight and the order is the weight
+    of f in every chart.  The weight is taken first, which checks that f is
+    nonzero and has the system's number of variables; then the chart index
+    is checked.
     """
-    direct = weight_numerator(f, system)
-    ch = chart(system, chart_index)
-    column = [row[chart_index - 1] for row in ch.numerators]
-    order = min(sum(map(mul, s, column)) for s in f.support())
-    if order != direct:
-        raise InternalConsistencyError(
-            f"chart {chart_index} reads vanishing order {Fraction(order, ch.m)} but the weight"
-            f" valuation is {Fraction(direct, ch.m)}"
-        )
-    return Fraction(order, ch.m)
+    order = weight_numerator(f, system)
+    chart(system, chart_index)  # refuses an index out of range
+    return Fraction(order, system.m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,23 +285,23 @@ def strict_transform_in_chart(
     Each monomial acquires chart-coordinate exponent equal to its weight;
     dividing by the minimal one leaves the residual equation of the strict
     transform, whose restriction to the divisor is read off by keeping the
-    exponent-zero terms.  Row j of the chart map is m e_j off column i, so
-    only column i is substituted: every other exponent stays the integer s_j,
-    and the chart-coordinate entry is kept as its numerator over m until the
+    exponent-zero terms.  Row j of the chart map is m e_j off column i, and
+    column i is the weight vector, so only column i is substituted, by the
+    weights: every other exponent stays the integer s_j, and the
+    chart-coordinate entry is kept as its numerator over m until the
     report.  Since m > 0 the order of these keys is that of the exponents.
     The map is injective: a key keeps s_j for j != i and holds sum_j s_j a_j
     in place of s_i, from which s_i is recovered because a_i > 0.
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
-    ch = chart(system, chart_index)
-    n = len(ch.numerators)
+    chart(system, chart_index)  # refuses an index out of range
+    n = system.n
     if g.nvars != n:
         raise DimensionError(f"exponent length {g.nvars} does not match chart dimension {n}")
     i0 = chart_index - 1
-    m = ch.m
-    column = [row[i0] for row in ch.numerators]
-    keyed = sorted((s[:i0] + (sum(map(mul, s, column)),) + s[i0 + 1 :], c) for s, c in g.items())
+    a, m = system.weights, system.m
+    keyed = sorted((s[:i0] + (sum(map(mul, s, a)),) + s[i0 + 1 :], c) for s, c in g.items())
     w_min = min(e[i0] for e, _ in keyed)
     terms = tuple((e[:i0] + (_over(e[i0] - w_min, m),) + e[i0 + 1 :], c) for e, c in keyed)
     return TransformedEquation(chart_index, Fraction(w_min, m), terms)

@@ -4,7 +4,8 @@ The oracles here deliberately use different algorithms from the library
 (full-box enumeration with pairwise divisibility minimalization, direct
 definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
-for the integer-numerator ones; ``box_verify_decomposition`` is the former
+for the integer-numerator ones; the fan oracle samples a grid, and is the
+reference for the exact star-subdivision check; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue
 lookup; ``scan_first_violation`` is the former sorted scan of the class
 minima, kept as the reference for the residue lookup at sizes the box engine

@@ -32,7 +32,6 @@ from wblow.blowup import (
 from wblow.errors import (
     DimensionError,
     InternalConsistencyError,
-    InvalidInstanceError,
     NotSemiInvariantError,
     OutOfDomainError,
     UndefinedWeightError,
@@ -81,10 +80,17 @@ class TestSubdivisionCheck:
         corrupted = Fan(fan.n, fan.m, bad_rays, fan.cones)
         assert not fan_is_subdivision(corrupted)
 
-    @pytest.mark.parametrize("grid", [0, -1])
-    def test_grid_without_sample_points_refused(self, grid):
-        with pytest.raises(InvalidInstanceError):
-            fan_is_subdivision(build_fan(WeightSystem((1, 2), 1)), grid)
+    def test_non_star_records_refused(self):
+        fan = build_fan(WeightSystem((1, 2, 3), 2))
+        for corrupted in (
+            Fan(fan.n, fan.m, fan.numerators, fan.cones[::-1]),  # a subdivision, cones permuted
+            Fan(fan.n, fan.m, ((1, 0, 0),) + fan.numerators[1:], fan.cones),  # e_1/2 for e_1
+            Fan(fan.n, 0, ((0, 0, 0),) * 3 + (fan.numerators[-1],), fan.cones),  # m = 0, rays to match
+            Fan(0, fan.m, ((),), ()),  # no variables
+            Fan(fan.n, fan.m, fan.numerators[:-1] + ((1, 2),), fan.cones),  # center too short
+            Fan(fan.n, fan.m, fan.numerators[:-1] + ((1, 2, 3, 4),), fan.cones),  # center too long
+        ):
+            assert not fan_is_subdivision(corrupted)
 
 
 #: Largest sample grid per dimension for the oracle comparison: the Fraction
@@ -94,7 +100,7 @@ ORACLE_GRID = {1: 12, 2: 6, 3: 4, 4: 2, 5: 2}
 
 
 class TestAgainstFractionFanRoute:
-    """The integer subdivision check and cone indices against the former Fraction route."""
+    """The exact subdivision check against the sampled Fraction route, and the cone indices."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -114,7 +120,7 @@ class TestAgainstFractionFanRoute:
             center = center[:j] + (0,) + center[j + 1 :]
         fan = Fan(n, fan.m, fan.numerators[:-1] + (center,), fan.cones)
         grid = data.draw(st.integers(1, ORACLE_GRID[n]), label="grid")
-        assert fan_is_subdivision(fan, grid) == fraction_fan_is_subdivision(fan, grid)
+        assert fan_is_subdivision(fan) == fraction_fan_is_subdivision(fan, grid)
         for i in range(1, n + 1):
             assert cone_index(fan, i) == fraction_cone_index(fan, i)
 
@@ -272,22 +278,13 @@ class TestExceptionalValuation:
         with pytest.raises(UndefinedWeightError):
             exceptional_valuation(Polynomial.zero(2), WeightSystem((1, 1), 1), 1)
 
-    def test_a_wrong_chart_column_is_caught(self, monkeypatch):
-        import wblow.blowup as blowup_mod
-
-        real = blowup_mod.chart
-
-        def skewed(system, i):  # column i, the barred coordinate's exponents, off by one
-            ch = real(system, i)
-            rows = tuple(row[:i - 1] + (row[i - 1] + 1,) + row[i:] for row in ch.numerators)
-            return dataclasses.replace(ch, numerators=rows)
-
-        monkeypatch.setattr(blowup_mod, "chart", skewed)
-        with pytest.raises(
-            InternalConsistencyError,
-            match="^chart 2 reads vanishing order 3 but the weight valuation is 2$",
-        ):
-            exceptional_valuation(Polynomial.variable(2, 1), WeightSystem((2, 3), 1), 2)
+    def test_chart_index_checked_after_the_weight(self):
+        system = WeightSystem((2, 3), 1)
+        for i in (0, 3):
+            with pytest.raises(DimensionError, match=rf"^chart index {i} out of range 1\.\.2$"):
+                exceptional_valuation(Polynomial.variable(2, 1), system, i)
+        with pytest.raises(UndefinedWeightError):
+            exceptional_valuation(Polynomial.zero(2), system, 3)
 
     def test_agrees_with_weight_on_random_suite(self):
         rng = random.Random(55)
@@ -338,6 +335,17 @@ class TestStrictTransform:
         assert teq.term_dict() == {(0, 0): Fraction(1), (0, 2): Fraction(1)}
         # restriction to the divisor keeps both terms of the residual
         assert dict(teq.divisor_restriction()) == teq.term_dict()
+
+    def test_refusals_in_order(self):
+        # a zero equation first, then the chart index, then the variable count
+        system = WeightSystem((2, 3), 1)
+        with pytest.raises(UndefinedWeightError):
+            strict_transform_in_chart(Polynomial.zero(3), system, 3)
+        for i in (0, 3):
+            with pytest.raises(DimensionError, match=rf"^chart index {i} out of range 1\.\.2$"):
+                strict_transform_in_chart(Polynomial.variable(3, 1), system, i)
+        with pytest.raises(DimensionError, match=r"^exponent length 3 does not match chart dimension 2$"):
+            strict_transform_in_chart(Polynomial.variable(3, 1), system, 1)
 
     def test_monomial_becomes_unit_times_barred(self):
         g = poly(2, {(1, 2): 5})

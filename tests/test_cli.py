@@ -407,16 +407,18 @@ class TestMainEntry:
         assert payload["error"]["kind"] == "invalid-instance"
         assert "grid" in payload["error"]["message"]
 
-    def test_fan_grid_over_budget_exits_1(self, capsys, monkeypatch):
-        # 201^4 grid points, about 1.6e9, is over the default cap
+    def test_fan_grid_of_zero_exits_1(self, capsys):
+        assert main(["fan", "1/1(1,2)", "--grid", "0", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"]["message"] == "the sample grid must be at least 1, got 0"
+
+    def test_fan_grid_is_echoed_and_not_charged(self, capsys, monkeypatch):
+        # 201^4 grid points, about 1.6e9, would be over the default cap; the exact check samples none
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
-        assert main(["fan", "1/1(1,1,1,1)", "--grid", "200", "--format", "json"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        payload = json.loads(captured.err)
+        assert main(["fan", "1/1(1,1,1,1)", "--grid", "200", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, REPORT_SCHEMA)
-        assert payload["error"]["kind"] == "enumeration-limit"
-        assert str(201**4) in payload["error"]["message"]
+        assert payload["result"]["subdivision_check"] == {"grid": 200, "ok": True}
 
     def test_fan_in_six_variables_reports(self, capsys, monkeypatch):
         monkeypatch.delenv("WBLOW_MAX_ENUM", raising=False)
@@ -818,6 +820,11 @@ class TestErrorPaths:
             "kind": "internal-consistency",
             "message": "the power ideal escaped the truncation ideal; weights must add",
         }
+
+    def test_pushforward_at_level_zero_reports_one_level(self, capsys):
+        assert main(["pushforward", "1/1(1,2)", "--f", "x1", "--a-max", "0", "--format", "json"]) == 0
+        levels = json.loads(capsys.readouterr().out)["result"]["levels"]
+        assert [(level["a"], level["generators"]) for level in levels] == [(0, [[0, 0]])]
 
     def test_pushforward_is_charged_its_top_box_first(self, capsys, monkeypatch):
         # the top level, a = 12, walks (12 + 1) * (6 + 1) = 91 points: the largest box

@@ -89,6 +89,12 @@ class TestParsePolynomial:
         p = parse_polynomial("x{10}^2+x1", nvars=10)
         assert p.coefficient((0,) * 9 + (2,)) == 1
 
+    def test_text_braces_indices_from_ten(self):
+        for n, text in ((9, "x9"), (10, "x{10}")):
+            p = Polynomial.variable(n, n)
+            assert p.text() == text
+            assert parse_polynomial(text, nvars=n) == p
+
     def test_variable_out_of_range(self):
         with pytest.raises(NotationError):
             parse_polynomial("x5", nvars=4)
