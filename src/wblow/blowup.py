@@ -12,10 +12,11 @@ Chart i gives x^s the xbar_i-exponent sum_j s_j a_j / m, the weight of s,
 so valuations and strict transforms read the weights directly; fractional
 powers stay formal symbols.  Every fan ray and chart exponent is an integer
 over the group order m, so the fan and the charts store integer numerators
-over m, cone indices use integer determinants, and a ``Fraction`` is built
-only where a result leaves the layer (``Fan.rays``, valuations,
-strict-transform exponents, ``Chart.substitution``).  The subdivision check
-compares the fan record with the star layout, exactly.
+over m, and a ``Fraction`` is built only where a result leaves the layer
+(``Fan.rays``, valuations, strict-transform exponents,
+``Chart.substitution``).  The subdivision check compares the fan record with
+the star layout, exactly; cone indices and chart maps are read off that
+layout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import mul
 
 from .errors import (
     DimensionError,
-    InternalConsistencyError,
+    InvalidInstanceError,
     OutOfDomainError,
     UndefinedWeightError,
 )
@@ -38,7 +39,6 @@ from .wideal import (
     WeightSystem,
     ideal_generators,
     polynomial_weight,
-    weight_numerator,
 )
 
 
@@ -51,7 +51,7 @@ class Fan:
     i is given by the indices of its n generating rays (all unit rays but
     the i-th, plus the center).  The record itself is unvalidated so that
     tests can corrupt it; ``fan_is_subdivision`` certifies the layout that
-    ``build_fan`` always returns.
+    ``build_fan`` always returns, and ``cone_index`` refuses any other.
     """
 
     n: int
@@ -78,27 +78,6 @@ def build_fan(system: WeightSystem) -> Fan:
     return Fan(system.n, system.m, unit + (system.weights,), cones)
 
 
-def _det(rows) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination; every division is exact."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        top = mat[c]
-        for row in mat[c + 1 :]:
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * top[c] - f * top[j]) // prev
-        prev = top[c]
-    return sign * prev
-
-
 def fan_is_subdivision(fan: Fan) -> bool:
     """Exact O(n^2) check: the star layout of ``build_fan``, with n positive center entries.
 
@@ -116,25 +95,27 @@ def fan_is_subdivision(fan: Fan) -> bool:
     return len(center) == n and min(center) > 0
 
 
+def _check_chart_index(i: int, n: int) -> None:
+    """Refuse a chart or cone index outside 1..n."""
+    if not 1 <= i <= n:
+        raise DimensionError(f"chart index {i} out of range 1..{n}")
+
+
 def cone_index(fan: Fan, i: int) -> int:
     """Index of chart cone i in the blow-up lattice (unit lattice plus the center ray).
 
-    Computed as |det| of the cone generators in standard coordinates times
-    the order of the center modulo the unit lattice.  On numerators over m
-    that is |det| * (m / gcd(m, center)) / m^n, which must come out an
-    integer.
+    That is |det| of the cone generators times the order of the center
+    modulo the unit lattice.  On a certified star layout with center v over
+    m, cone i has determinant v_i * m^(n-1) over m^n and the center has
+    order m / gcd(m, v), so the index is v_i / gcd(m, v), always an integer.
+    The index range is checked first; a record that is not the star layout
+    is refused.
     """
-    if not 1 <= i <= fan.n:
-        raise DimensionError(f"chart index {i} out of range 1..{fan.n}")
-    m = fan.m
-    vol = abs(_det([fan.numerators[k] for k in fan.cones[i - 1]]))
-    center_order = m // math.gcd(m, *fan.numerators[-1])
-    idx, rest = divmod(vol * center_order, m**fan.n)
-    if rest:
-        raise InternalConsistencyError(
-            f"cone index {Fraction(vol * center_order, m**fan.n)} is not an integer"
-        )
-    return idx
+    _check_chart_index(i, fan.n)
+    if not fan_is_subdivision(fan):
+        raise InvalidInstanceError("the fan record is not the star subdivision of the orthant")
+    center = fan.numerators[-1]
+    return center[i - 1] // math.gcd(fan.m, *center)
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,24 +146,19 @@ class Chart:
 def chart(system: WeightSystem, i: int) -> Chart:
     """The i-th chart (1-based) of the blow-up for the given weight system.
 
-    Memoised: both arguments are hashable and the ``Chart`` is frozen, so
-    repeated calls for one system share one record.  The cache is kept
-    small because callers sweep the charts of one system at a time.
+    The numerator matrix is the star layout's unit rays m*e_j with column i
+    replaced by the weights, the center ray of cone i.  Memoised: both
+    arguments are hashable and the ``Chart`` is frozen, so repeated calls
+    for one system share one record.  The cache is kept small because
+    callers sweep the charts of one system at a time.
     """
-    n = system.n
-    if not 1 <= i <= n:
-        raise DimensionError(f"chart index {i} out of range 1..{n}")
-    a, m = system.weights, system.m
+    n, a, m = system.n, system.weights, system.m
+    _check_chart_index(i, n)
     i0 = i - 1
     qtype = CyclicQuotientType(a[i0], tuple(m if j == i0 else -a[j] for j in range(n)))
-    rows = []
-    for j in range(n):
-        row = [0] * n
-        if j != i0:
-            row[j] = m
-        row[i0] = a[j]
-        rows.append(tuple(row))
-    return Chart(i, qtype, m, tuple(rows))
+    unit, _ = _star_layout(n, m)
+    rows = tuple(row[:i0] + (a_j,) + row[i0 + 1 :] for row, a_j in zip(unit, a))
+    return Chart(i, qtype, m, rows)
 
 
 def _over(v: int, m: int):
@@ -200,9 +176,9 @@ def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int)
     nonzero and has the system's number of variables; then the chart index
     is checked.
     """
-    order = weight_numerator(f, system)
-    chart(system, chart_index)  # refuses an index out of range
-    return Fraction(order, system.m)
+    weight = polynomial_weight(f, system)
+    _check_chart_index(chart_index, system.n)
+    return weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,8 +271,8 @@ def strict_transform_in_chart(
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
-    chart(system, chart_index)  # refuses an index out of range
     n = system.n
+    _check_chart_index(chart_index, n)
     if g.nvars != n:
         raise DimensionError(f"exponent length {g.nvars} does not match chart dimension {n}")
     i0 = chart_index - 1

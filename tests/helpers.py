@@ -5,7 +5,9 @@ The oracles here deliberately use different algorithms from the library
 definition checks) so that agreement is meaningful.  The chart and fan
 oracles are the library's former ``Fraction`` routes, kept as the reference
 for the integer-numerator ones; the fan oracle samples a grid, and is the
-reference for the exact star-subdivision check; ``box_verify_decomposition`` is the former
+reference for the exact star-subdivision check; ``fraction_cone_index``, a
+rational determinant times the center's order, is the reference for the
+closed form v_i / gcd(m, v) of ``cone_index``; ``box_verify_decomposition`` is the former
 box engine of the lifting check, kept as the reference for the residue
 lookup; ``scan_first_violation`` is the former sorted scan of the class
 minima, kept as the reference for the residue lookup at sizes the box engine

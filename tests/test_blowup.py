@@ -31,7 +31,7 @@ from wblow.blowup import (
 )
 from wblow.errors import (
     DimensionError,
-    InternalConsistencyError,
+    InvalidInstanceError,
     NotSemiInvariantError,
     OutOfDomainError,
     UndefinedWeightError,
@@ -42,6 +42,17 @@ from wblow.wideal import WeightSystem, ideal_generators, monomial_weight, polyno
 
 def poly(nvars, terms):
     return Polynomial(nvars, {k: Fraction(v) for k, v in terms.items()})
+
+
+def star_record(center, m):
+    """A hand-built star layout at center/m: unit rays m*e_j, cone i drops e_i and adds the center."""
+    n = len(center)
+    unit = tuple(tuple(m * (k == j) for k in range(n)) for j in range(n))
+    cones = tuple(tuple(k for k in range(n + 1) if k != i) for i in range(n))
+    return Fan(n, m, unit + (tuple(center),), cones)
+
+
+REFUSED = r"^the fan record is not the star subdivision of the orthant$"
 
 
 class TestBuildFan:
@@ -91,6 +102,13 @@ class TestSubdivisionCheck:
             Fan(fan.n, fan.m, fan.numerators[:-1] + ((1, 2, 3, 4),), fan.cones),  # center too long
         ):
             assert not fan_is_subdivision(corrupted)
+            for i in range(1, corrupted.n + 1):
+                with pytest.raises(InvalidInstanceError, match=REFUSED):
+                    cone_index(corrupted, i)
+            # the index range is checked before the record
+            for i in (0, corrupted.n + 1):
+                with pytest.raises(DimensionError, match=rf"^chart index {i} out of range 1\.\.{corrupted.n}$"):
+                    cone_index(corrupted, i)
 
 
 #: Largest sample grid per dimension for the oracle comparison: the Fraction
@@ -108,7 +126,11 @@ class TestAgainstFractionFanRoute:
         n = data.draw(st.integers(1, 5), label="n")
         weights = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n), label="weights")
         m = data.draw(st.integers(1, 6), label="m")
-        fan = build_fan(WeightSystem.normalized(weights, m)[0])
+        if data.draw(st.booleans(), label="hand-built with a factor shared with m"):
+            factor = data.draw(st.integers(2, 4), label="factor")
+            fan = star_record([factor * w for w in weights], factor * m)
+        else:
+            fan = build_fan(WeightSystem.normalized(weights, m)[0])
         center = fan.numerators[-1]
         corruption = data.draw(st.sampled_from(["none", "negated", "unit", "zero"]), label="corruption")
         if corruption == "negated":
@@ -122,7 +144,11 @@ class TestAgainstFractionFanRoute:
         grid = data.draw(st.integers(1, ORACLE_GRID[n]), label="grid")
         assert fan_is_subdivision(fan) == fraction_fan_is_subdivision(fan, grid)
         for i in range(1, n + 1):
-            assert cone_index(fan, i) == fraction_cone_index(fan, i)
+            if fan_is_subdivision(fan):  # a corruption can leave the record intact when n = 1
+                assert cone_index(fan, i) == fraction_cone_index(fan, i)
+            else:
+                with pytest.raises(InvalidInstanceError, match=REFUSED):
+                    cone_index(fan, i)
 
 
 class TestConeIndex:
@@ -134,15 +160,28 @@ class TestConeIndex:
             for i in range(1, system.n + 1):
                 assert cone_index(fan, i) == system.weights[i - 1]
 
+    @pytest.mark.parametrize(
+        "center,m,indices",
+        [((2, 6), 4, (1, 3)), ((6, 9), 2, (6, 9)), ((6, 4, 10), 6, (3, 2, 5)), ((3,), 9, (1,))],
+    )
+    def test_center_order_takes_the_gcd_with_m(self, center, m, indices):
+        # the center has order m / gcd(m, center) modulo the unit lattice; (6, 9) over 2
+        # has entries sharing 3, which m does not share
+        fan = star_record(center, m)
+        assert fan_is_subdivision(fan)
+        got = tuple(cone_index(fan, i) for i in range(1, len(center) + 1))
+        assert got == indices == tuple(fraction_cone_index(fan, i) for i in range(1, len(center) + 1))
+
     def test_index_out_of_range(self):
         with pytest.raises(DimensionError, match=r"^chart index 0 out of range 1\.\.2$"):
             cone_index(build_fan(WeightSystem((1, 2), 1)), 0)
 
     def test_non_lattice_ray_in_a_hand_built_fan(self):
-        # the first ray is e_1/2, not a lattice point, so cone 2 has index 1/2
+        # the first ray is e_1/2, not a lattice point: not the star layout, so refused
         fan = Fan(2, 2, ((1, 0), (0, 2), (1, 1)), ((1, 2), (0, 2)))
-        with pytest.raises(InternalConsistencyError, match=r"^cone index 1/2 is not an integer$"):
-            cone_index(fan, 2)
+        for i in (1, 2):
+            with pytest.raises(InvalidInstanceError, match=REFUSED):
+                cone_index(fan, i)
 
 
 class TestChart:
