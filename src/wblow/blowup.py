@@ -25,7 +25,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import (
     DimensionError,
@@ -161,12 +160,6 @@ def chart(system: WeightSystem, i: int) -> Chart:
     return Chart(i, qtype, m, rows)
 
 
-def _over(v: int, m: int):
-    """Report form of an exponent numerator over m: an int when m divides it, else a Fraction."""
-    q, r = divmod(v, m)
-    return Fraction(v, m) if r else q
-
-
 def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int) -> Fraction:
     """Vanishing order of f along the exceptional divisor, read off in one chart.
 
@@ -263,11 +256,13 @@ def strict_transform_in_chart(
     transform, whose restriction to the divisor is read off by keeping the
     exponent-zero terms.  Row j of the chart map is m e_j off column i, and
     column i is the weight vector, so only column i is substituted, by the
-    weights: every other exponent stays the integer s_j, and the
-    chart-coordinate entry is kept as its numerator over m until the
-    report.  Since m > 0 the order of these keys is that of the exponents.
-    The map is injective: a key keeps s_j for j != i and holds sum_j s_j a_j
-    in place of s_i, from which s_i is recovered because a_i > 0.
+    weights: every other exponent stays the integer s_j.  The terms are
+    sorted on keys that hold the numerator sum_j s_j a_j in place of s_i;
+    since m > 0 the order of these keys is that of the exponents.  The map
+    is injective: a key keeps s_j for j != i, from which s_i is recovered
+    because a_i > 0.  The sums, the weight and each term's chart-coordinate
+    exponent over m come from ``g.weighed``, which g keeps, so the charts
+    of one weight system weigh each term once.
     """
     if g.is_zero:
         raise UndefinedWeightError("the zero polynomial has no strict transform")
@@ -276,11 +271,12 @@ def strict_transform_in_chart(
     if g.nvars != n:
         raise DimensionError(f"exponent length {g.nvars} does not match chart dimension {n}")
     i0 = chart_index - 1
-    a, m = system.weights, system.m
-    keyed = sorted((s[:i0] + (sum(map(mul, s, a)),) + s[i0 + 1 :], c) for s, c in g.items())
-    w_min = min(e[i0] for e, _ in keyed)
-    terms = tuple((e[:i0] + (_over(e[i0] - w_min, m),) + e[i0 + 1 :], c) for e, c in keyed)
-    return TransformedEquation(chart_index, Fraction(w_min, m), terms)
+    sums, weight, residuals = g.weighed(system.weights, system.m)
+    keyed = sorted(
+        [(s[:i0] + (w,) + s[i0 + 1 :], c, r) for (s, c), w, r in zip(g.items(), sums, residuals)]
+    )
+    terms = tuple([(e[:i0] + (r,) + e[i0 + 1 :], c) for e, c, r in keyed])
+    return TransformedEquation(chart_index, weight, terms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -67,9 +67,9 @@ class LiftInstance:
 
     def __init__(self, base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight,
                  weights=None):
-        if not isinstance(m, int) or m < 1:
+        if not isinstance(m, int) or type(m) is bool or m < 1:
             raise InvalidInstanceError(f"group order must be a positive integer, got {m!r}")
-        if not isinstance(multiplier, int) or multiplier < 1:
+        if not isinstance(multiplier, int) or type(multiplier) is bool or multiplier < 1:
             raise InvalidInstanceError(f"multiplier must be a positive integer, got {multiplier!r}")
         if lifted_weight < 1:
             raise InvalidInstanceError(

@@ -34,6 +34,16 @@ _FACTOR = re.compile(r"\s*\*?\s*x\s*(([1-9])|\{\s*([0-9]+)\s*\})(?:\s*\^\s*([0-9
 # (group 2), the span of its factors (group 3), then one optional '*' and the
 # whitespace before the next term.
 _TERM = re.compile(r"([+-]?)\s*([0-9]*)((?:%s)*)(?:\s*\*)?\s*" % _FACTOR.pattern)
+# The '1/m(w1,...,wk' head with the whitespace after it: m in group 1, the
+# weights' span in group 2.  The scanner reads the head greedily and reads on
+# at a ',', so the lookahead refuses a head followed by ',' and every
+# backtracked match (whitespace next, or a digit right after a digit): what
+# the pattern refuses, the scanner refuses too.
+_HEAD = re.compile(
+    r"\s*1\s*/\s*([0-9]+)\s*\(\s*([+-]?\s*[0-9]+(?:\s*,\s*[+-]?\s*[0-9]+)*)\s*"
+    r"(?![\s,]|(?<=[0-9])[0-9])"
+)
+_WEIGHT = re.compile(r"([+-]?)\s*([0-9]+)")
 
 
 class _Scanner:
@@ -89,16 +99,30 @@ class _Scanner:
 
 
 def _parse_prefix(sc: _Scanner) -> tuple[int, list]:
-    """The shared '1/m(w1,...,wk' head; leaves the scanner on ';' or ')'."""
+    """The shared '1/m(w1,...,wk' head; leaves the scanner after the whitespace that follows it.
+
+    One pattern match reads a well-formed head.  Otherwise, or when a number
+    is past int()'s digit limit, the scanner reads the head again: it raises
+    at the fault, at the latest at a weight after a ','.
+    """
+    head = _HEAD.match(sc.text)
+    if head:
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            m = int(head[1])
+            weights = [int(sign + digits) for sign, digits in _WEIGHT.findall(head[2])]
+        except ValueError:
+            pass
+        else:
+            sc.pos = head.end()
+            return m, weights
     sc.expect("1")
     sc.expect("/")
-    m = sc.take_unsigned()
+    sc.take_unsigned()
     sc.expect("(")
-    weights = [sc.take_signed()]
-    while sc.peek() == ",":
-        sc.pos += 1
-        weights.append(sc.take_signed())
-    return m, weights
+    sc.take_signed()
+    while True:
+        sc.expect(",")
+        sc.take_signed()
 
 
 def parse_singularity(text: str):
@@ -133,7 +157,11 @@ def parse_singularity(text: str):
 
 
 def parse_weight_system(text: str) -> WeightSystem:
-    """Parse '1/m(a1,...,an)' as blow-up weights: positive, gcd 1, unreduced."""
+    """Parse '1/m(a1,...,an)' as blow-up weights: positive, gcd 1, unreduced.
+
+    The head is one match of the head pattern; only a text it refuses is
+    read again by the scanner, which raises with the fault's position.
+    """
     sc = _Scanner(text)
     m, weights = _parse_prefix(sc)
     sc.expect(")")
@@ -142,13 +170,31 @@ def parse_weight_system(text: str) -> WeightSystem:
     return WeightSystem(tuple(weights), m)
 
 
+def _refuse_factors(sc: _Scanner, text: str, span: tuple, nvars: int) -> None:
+    """Raise at the first factor of the span that fails a check.
+
+    The checks run in order: the index is in range, then the power is positive.
+    """
+    for factor in _FACTOR.finditer(text, *span):
+        _, digit, braced, power = factor.groups()
+        idx = int(digit) if digit else sc.integer(braced, factor.start(3))
+        if not 1 <= idx <= nvars:
+            sc.error(f"variable x{idx} is out of range for {nvars} variables", factor.end(1))
+        power = 1 if power is None else sc.integer(power, factor.start(4))
+        if power < 1:
+            sc.error("exponents must be positive", factor.end(4))
+
+
 def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
     """Parse a polynomial in variables x1..x{nvars} with integer coefficients.
 
     The body is read one term at a time: a term match gives the sign, the
-    coefficient and the span of the factors, and each factor is checked
-    (index in range, then a positive power) in order.  Where a term stops
-    short of '+', '-' or the end, the scanner names what it expected there.
+    coefficient and the span of the factors, and one ``findall`` gives the
+    factors, each checked (index in range, then a positive power).  Only a
+    term whose factors fail a check, or hit int()'s digit limit, is read
+    again factor by factor to name the first fault and its position.  Where
+    a term stops short of '+', '-' or the end, the scanner names what it
+    expected there.
     """
     sc = _Scanner(text, offset=offset)
     if sc.at_end():
@@ -159,19 +205,18 @@ def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
         term = _TERM.match(text, pos)
         sign, digits = term.group(1, 2)
         exponents = [0] * nvars
-        factor = None
-        for factor in _FACTOR.finditer(text, *term.span(3)):
-            _, digit, braced, power = factor.groups()
-            idx = int(digit) if digit else sc.integer(braced, factor.start(3))
-            if not 1 <= idx <= nvars:
-                sc.error(f"variable x{idx} is out of range for {nvars} variables", factor.end(1))
-            power = 1 if power is None else sc.integer(power, factor.start(4))
-            if power < 1:
-                sc.error("exponents must be positive", factor.end(4))
-            exponents[idx - 1] += power
+        factors = _FACTOR.findall(text, *term.span(3))
+        try:  # a failed check takes the way of int()'s digit limit
+            for _, digit, braced, power in factors:
+                idx, power = int(digit or braced), int(power or 1)
+                if not (1 <= idx <= nvars and power):
+                    raise ValueError
+                exponents[idx - 1] += power
+        except ValueError:
+            _refuse_factors(sc, text, term.span(3), nvars)
         pos = sc.pos = term.end()
         ch = text[pos] if pos < end else ""  # "" at the end, which `in "+-"` accepts
-        if ch not in "+-" or not (digits or factor):
+        if ch not in "+-" or not (digits or factors):
             if ch == "x":  # no valid index follows: take_unsigned or expect raises
                 sc.pos += 1
                 if sc.peek() == "{":
@@ -179,10 +224,10 @@ def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
                     sc.take_unsigned()
                     sc.expect("}")
                 sc.error("expected a variable index after 'x'")
-            if ch == "^" and factor and factor[4] is None and "*" not in text[factor.end() : pos]:
+            if ch == "^" and factors and not factors[-1][3] and "*" not in text[term.end(3) : pos]:
                 sc.pos += 1
                 sc.take_unsigned()  # raises: the power after this factor is missing
-            if not (digits or factor):
+            if not (digits or factors):
                 sc.error("expected a coefficient or a variable")
             sc.error(f"expected '+' or '-' between terms, found {ch!r}")
         coeff = sc.integer(digits, term.start(2)) if digits else 1

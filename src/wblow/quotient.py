@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import le, mul
 
 from .arith import ExpVec, check_enum_budget, expvec, vec_add
 from .errors import (
@@ -35,10 +35,12 @@ class Polynomial:
     coefficients are dropped at construction and all exponent tuples must
     share one length (``nvars``).  Instances are immutable by convention and
     hashable; the zero polynomial has an empty term map but still knows its
-    variable count.
+    variable count.  One more slot keeps the terms' weights under the last
+    weight system asked for (:meth:`weighed`); it takes no part in ``==``,
+    ``hash``, copies or pickles.
     """
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_weighed")
 
     def __init__(self, nvars: int, terms: Mapping[ExpVec, Fraction] | Iterable = ()):
         if not isinstance(nvars, int) or nvars < 1:
@@ -53,9 +55,14 @@ class Polynomial:
             acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", dict(sorted((e, c) for e, c in acc.items() if c)))
+        object.__setattr__(self, "_weighed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt by the constructor, without the kept weights."""
+        return Polynomial, (self.nvars, self._terms)
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -91,6 +98,26 @@ class Polynomial:
 
     def items(self):
         return self._terms.items()
+
+    def weighed(self, weights: tuple, m: int) -> tuple:
+        """The terms under weights a over m, in support order: (sums, weight, residuals).
+
+        ``sums[j]`` is sum(s_i * a_i) for the j-th support vector s, ``weight``
+        is min(sums) / m, and ``residuals[j]`` is (sums[j] - min(sums)) / m,
+        an int where m divides it.  The result for the last weights and m
+        asked for is kept, so the weight and the strict transforms in every
+        chart of one weight system weigh each term once.  Callers check that
+        f is nonzero and that the weights have ``nvars`` entries.
+        """
+        kept = self._weighed
+        if kept is not None and kept[0] == weights and kept[1] == m:
+            return kept[2]
+        sums = tuple([sum(map(mul, s, weights)) for s in self._terms])
+        least = min(sums)
+        residuals = tuple([Fraction(v, m) if v % m else v // m for v in (w - least for w in sums)])
+        weighed = sums, Fraction(least, m), residuals
+        object.__setattr__(self, "_weighed", (tuple(weights), m, weighed))
+        return weighed
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
@@ -174,7 +201,7 @@ class CyclicQuotientType:
     weights: tuple
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or type(self.m) is bool or self.m < 1:
             raise InvalidWeightsError(f"group order must be a positive integer, got {self.m!r}")
         ws = tuple(self.weights)
         if not ws:

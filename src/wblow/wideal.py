@@ -50,7 +50,7 @@ class WeightSystem:
                 f"weights {ws} have gcd {g}; divide it out first"
                 " (WeightSystem.normalized does this and reports the factor)"
             )
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or type(self.m) is bool or self.m < 1:
             raise InvalidWeightsError(f"group order must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "weights", ws)
 
@@ -81,18 +81,18 @@ def monomial_weight(s, system: WeightSystem) -> Fraction:
     return Fraction(sum(si * ai for si, ai in zip(s, system.weights)), system.m)
 
 
-def weight_numerator(f: Polynomial, system: WeightSystem) -> int:
-    """m times the weight of f: the least sum(s_i * a_i) over the support."""
+def polynomial_weight(f: Polynomial, system: WeightSystem) -> Fraction:
+    """Minimum monomial weight over the support; undefined for the zero polynomial.
+
+    The least sum(s_i * a_i) over the support, divided by m once; it is read
+    off ``f.weighed``, which f keeps for the next call under the same weight
+    system.
+    """
     if f.is_zero:
         raise UndefinedWeightError("the zero polynomial has no weight")
     if f.nvars != system.n:
         raise DimensionError(f"exponent length {f.nvars} does not match {system.n} weights")
-    return min(sum(map(mul, s, system.weights)) for s in f.support())
-
-
-def polynomial_weight(f: Polynomial, system: WeightSystem) -> Fraction:
-    """Minimum monomial weight over the support; undefined for the zero polynomial."""
-    return Fraction(weight_numerator(f, system), system.m)
+    return f.weighed(system.weights, system.m)[1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,9 @@ the former recursive generator walk, kept as the reference for the flat one;
 ``sums_power_vs_truncation`` is the former d-fold-sum comparison of a
 power with a truncation, kept as the reference for the membership sweep;
 ``scanner_parse_polynomial`` is the former character-by-character
-polynomial parser, kept as the reference for the term-at-a-time one.
+polynomial parser, kept as the reference for the term-at-a-time one;
+``scanner_parse_prefix`` is the former scanner read of the '1/m(w1,...,wk'
+head, kept as the reference for the head pattern.
 The oracles minimalize with their own ``minimalize``, never the library's,
 which the d-fold branch under test uses.
 ``invert_transform`` and ``verify_generator_lift`` are cross-checks that
@@ -228,6 +230,23 @@ def scanner_parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomi
         terms[key] = terms.get(key, 0) + sign * coeff
 
     return Polynomial(nvars, {k: Fraction(v) for k, v in terms.items() if v != 0})
+
+
+def scanner_parse_prefix(sc: _Scanner) -> tuple[int, list]:
+    """Oracle: the former head reader of ``notation``, one scanner step at a time.
+
+    It leaves the scanner after the whitespace that follows the head, as the
+    pattern route does, or raises ``NotationError`` at the fault.
+    """
+    sc.expect("1")
+    sc.expect("/")
+    m = sc.take_unsigned()
+    sc.expect("(")
+    weights = [sc.take_signed()]
+    while sc.peek() == ",":
+        sc.pos += 1
+        weights.append(sc.take_signed())
+    return m, weights
 
 
 def brute_upset_in_box(weights, threshold_num, m, caps):

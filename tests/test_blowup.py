@@ -285,6 +285,37 @@ class TestAgainstFractionRoute:
         assert _typed([fast.factored_exponent]) == _typed([slow.factored_exponent])
         assert [(_typed(e), c) for e, c in fast.terms] == [(_typed(e), c) for e, c in slow.terms]
 
+    @settings(max_examples=150, deadline=None)
+    @given(chart_cases(), st.data())
+    @example((WeightSystem((1, 4, 6), 2), 1, poly(3, {(1, 2, 0): 3, (5, 0, 0): 2})), None)
+    def test_one_polynomial_under_two_systems_in_turn(self, case, data):
+        """The kept weighing follows the weight system asked for, m included."""
+        first, _, f = case
+        n = first.n
+        if data is None:  # the explicit example: same weights over another m, then others
+            others = [WeightSystem(first.weights, 5), WeightSystem((2, 1, 1), 2)]
+        else:
+            raw = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+            g = math.gcd(*raw)
+            others = [
+                WeightSystem(first.weights, data.draw(st.integers(1, 6))),
+                WeightSystem(tuple(w // g for w in raw), data.draw(st.integers(1, 6))),
+            ]
+        same, digest = Polynomial(n, f.terms), hash(f)
+        for system in [first, *others, first]:
+            for i in range(1, n + 1):
+                assert exceptional_valuation(f, system, i) == fraction_exceptional_valuation(
+                    f, system, i
+                )
+                fast = strict_transform_in_chart(f, system, i)
+                slow = fraction_strict_transform(f, system, i)
+                assert fast.factored_exponent == slow.factored_exponent
+                assert [(_typed(e), c) for e, c in fast.terms] == [
+                    (_typed(e), c) for e, c in slow.terms
+                ]
+            assert f._weighed[:2] == (system.weights, system.m)
+            assert f == same and hash(f) == digest and f.terms == same.terms
+
     def test_dimension_mismatch_rejected_like_the_fraction_route(self):
         system = WeightSystem((1, 2), 3)
         f = poly(3, {(1, 0, 2): 1})

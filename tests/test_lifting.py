@@ -646,7 +646,9 @@ class TestInstanceChecks:
         "m, multiplier, lifted, message",
         [
             (0, 1, 2, "group order must be a positive integer, got 0"),
+            (True, 1, 2, "group order must be a positive integer, got True"),
             (1, 0, 2, "multiplier must be a positive integer, got 0"),
+            (1, True, 2, "multiplier must be a positive integer, got True"),
             (1, 1, 0, "mutated lifted weight 0 is not a positive weight"),
             (1, 1, -3, "mutated lifted weight -3 is not a positive weight"),
         ],
@@ -670,6 +672,10 @@ class TestInstanceChecks:
              "group order must be a positive integer, got 0"),
             (lambda: make_lift_instance((1, 2), 1, -1),
              "multiplier must be a positive integer, got -1"),
+            (lambda: make_lift_instance((1, 2), True, 1),
+             "group order must be a positive integer, got True"),
+            (lambda: make_lift_instance((1, 2), 1, True),
+             "multiplier must be a positive integer, got True"),
             (lambda: mutated_instance(inst, -2),
              "mutated lifted weight 0 is not a positive weight"),
             (lambda: mutated_instance(inst, 0), "delta 0 is not a mutation"),

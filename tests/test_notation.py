@@ -1,11 +1,14 @@
 import random
+import sys
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import scanner_parse_polynomial
-from wblow.errors import InvalidWeightsError, NotationError, NotSemiInvariantError
+import wblow.notation as notation_mod
+from helpers import scanner_parse_polynomial, scanner_parse_prefix
+from wblow.errors import InvalidWeightsError, NotationError, NotSemiInvariantError, WblowError
 from wblow.notation import (
     format_rational,
     parse_polynomial,
@@ -148,6 +151,61 @@ class TestAgainstScannerParser:
     def test_same_polynomial_or_same_error(self, text, nvars, offset):
         expected = _outcome(scanner_parse_polynomial, text, nvars, offset)
         assert _outcome(parse_polynomial, text, nvars, offset) == expected
+
+
+# Head tokens: the grammar's own, every kind of whitespace the scanner skips
+# (``\x1c`` and the no-break space are ``str.isspace``), leading zeros, a
+# non-ASCII digit, and numbers at and one past int()'s digit limit.
+_LIMIT = sys.get_int_max_str_digits()
+_HEAD_TOKENS = ["1", "/", "(", ")", ",", ";", "+", "-", "0", "05", "3", "12", "x", " ", "\t",
+                "\x1c", "\u00a0", "\u00b2", "{g=x1*x2}", "1" * _LIMIT, "2" * (_LIMIT + 1)]
+_SPACE = st.sampled_from(["", "", " ", "\t", "\x1c", "\u00a0 "])
+
+
+@st.composite
+def _heads(draw):
+    """'1/m(w1,...' with whitespace drawn between every two tokens, then a drawn tail."""
+    numbers = st.one_of(st.integers(0, 30).map(str), st.sampled_from(["007", "1" * _LIMIT,
+                                                                      "3" * (_LIMIT + 1)]))
+    weights = draw(st.lists(st.tuples(st.sampled_from(["", "+", "-"]), numbers), min_size=1,
+                            max_size=4))
+    tokens = ["1", "/", draw(numbers), "("]
+    for k, (sign, digits) in enumerate(weights):
+        tokens += ([","] if k else []) + [sign, digits]
+    tokens.append(draw(st.sampled_from([")", ");", ";0){g=x1*x2}", ";1)", ",", ",)", "", ")x",
+                                        "x", "5", ";"])))
+    return "".join(draw(_SPACE) + token for token in tokens) + draw(_SPACE)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except WblowError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+class TestHeadAgainstScanner:
+    """The head pattern against the scanner reading it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_heads(), st.lists(st.sampled_from(_HEAD_TOKENS), max_size=14).map("".join)))
+    @example(" 1 / 5 ( 3 , 7 ) ")
+    @example("\x1c1\x1c/\x1c05\x1c(\x1c-\x1c3\x1c,+7)")
+    @example("1/5(3,,7)")
+    @example("1/5(3,7 ,x)")  # a ',' after the head: the scanner reads on and fails there
+    @example("1/5(12,x)")
+    @example("1/" + "1" * _LIMIT + "(1,2)")
+    @example("1/1(1," + "1" * (_LIMIT + 1) + ")")
+    @example("1/5(1,4;0){g=x1*x2}")
+    def test_same_object_or_same_error(self, text):
+        for parse in (parse_weight_system, parse_singularity):
+            pattern_route = _parsed(parse, text)
+            with mock.patch.object(notation_mod, "_parse_prefix", scanner_parse_prefix):
+                assert _parsed(parse, text) == pattern_route
+        # the scanner accepts nothing the pattern refuses
+        if notation_mod._HEAD.match(text) is None:
+            with pytest.raises(NotationError):
+                scanner_parse_prefix(notation_mod._Scanner(text))
 
 
 class TestAsciiDigits:

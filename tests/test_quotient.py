@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -63,6 +65,14 @@ class TestCyclicQuotientType:
         with pytest.raises(InvalidWeightsError, match=r"^weights must be integers, got 1\.5$"):
             CyclicQuotientType(3, (1.5,))
 
+    @pytest.mark.parametrize("m", [True, False, 0, 1.0])
+    def test_group_order_refusals(self, m):
+        # a bool is an int, but 1/True(0,0) is no notation
+        with pytest.raises(
+            InvalidWeightsError, match=rf"^group order must be a positive integer, got {m!r}$"
+        ):
+            CyclicQuotientType(m, (1, 2))
+
 
 class TestPolynomial:
     def test_zero_coefficients_dropped(self):
@@ -93,6 +103,39 @@ class TestPolynomial:
         with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
             p.nvars = 3
         assert p.nvars == 2
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "copier", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_rebuild_without_the_kept_weights(self, copier, warm):
+        p = poly(2, {(2, 0): 3, (0, 1): Fraction(-1, 2)})
+        if warm:
+            assert p.weighed((1, 2), 3)[0] == (2, 2)
+        q = copier(p)
+        assert q == p and hash(q) == hash(p) and q.terms == p.terms and q.nvars == 2
+        assert q._weighed is None
+        assert q.weighed((3, 1), 2) == p.weighed((3, 1), 2) == ((1, 6), Fraction(1, 2), (0, Fraction(5, 2)))
+        with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+            q.nvars = 3
+
+    def test_records_holding_a_polynomial_copy_and_pickle(self):
+        from wblow.notation import parse_singularity
+
+        hq = parse_singularity("1/5(1,4;0){g=x1*x2}")
+        for copier in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            assert copier(hq) == hq and copier(hq).g.text() == "x1*x2"
+
+    def test_weighed_keeps_the_last_weights_and_order(self):
+        p = poly(3, {(1, 0, 2): 1, (0, 3, 0): -2})  # support order: (0, 3, 0), (1, 0, 2)
+        assert p._weighed is None
+        first = p.weighed((1, 2, 3), 4)
+        assert first == ((6, 7), Fraction(3, 2), (0, Fraction(1, 4)))
+        assert type(first[2][0]) is int and type(first[2][1]) is Fraction
+        assert p.weighed((1, 2, 3), 4) is first
+        assert p.weighed((1, 2, 3), 1) == ((6, 7), 6, (0, 1))  # another m: weighed again
+        assert p.weighed([2, 1, 1], 1) == ((3, 4), 3, (0, 1)) and p._weighed[:2] == ((2, 1, 1), 1)
 
     def test_str_is_the_text(self):
         p = poly(3, {(1, 1, 0): 1, (0, 0, 3): 1})

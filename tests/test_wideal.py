@@ -54,6 +54,14 @@ class TestWeightSystem:
         with pytest.raises(InvalidWeightsError):
             WeightSystem((2, 4), 1)
 
+    @pytest.mark.parametrize("m", [True, False, 0, 2.0])
+    def test_group_order_refusals(self, m):
+        # a bool is an int, but 1/True(1,2) does not parse back
+        with pytest.raises(
+            InvalidWeightsError, match=rf"^group order must be a positive integer, got {m!r}$"
+        ):
+            WeightSystem((1, 2), m)
+
     def test_normalized_reports_factor(self):
         system, factor = WeightSystem.normalized((2, 4), 3)
         assert system == WeightSystem((1, 2), 3) and factor == 2
