@@ -17,6 +17,7 @@ from wblow.errors import (
     UndefinedWeightError,
     UnsupportedShapeError,
 )
+from wblow.notation import parse_singularity
 from wblow.quotient import (
     CyclicQuotientType,
     HyperquotientType,
@@ -121,8 +122,6 @@ class TestPolynomial:
             q.nvars = 3
 
     def test_records_holding_a_polynomial_copy_and_pickle(self):
-        from wblow.notation import parse_singularity
-
         hq = parse_singularity("1/5(1,4;0){g=x1*x2}")
         for copier in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
             assert copier(hq) == hq and copier(hq).g.text() == "x1*x2"
