@@ -43,7 +43,7 @@ class Polynomial:
     __slots__ = ("nvars", "_terms", "_weighed")
 
     def __init__(self, nvars: int, terms: Mapping[ExpVec, Fraction] | Iterable = ()):
-        if not isinstance(nvars, int) or nvars < 1:
+        if not isinstance(nvars, int) or type(nvars) is bool or nvars < 1:
             raise DimensionError(f"nvars must be a positive integer, got {nvars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
@@ -311,13 +311,6 @@ class MonoidBasis:
     degree_bound: int
 
 
-def _extend_heads(heads, a: int, m: int, top: int):
-    """Each head with one more entry of weight a, made lazily; a call binds a per level."""
-    for p, r, d in heads:
-        for s in range(top - d + 1):
-            yield p + (s,), (r + s * a) % m, d + s
-
-
 def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBasis:
     """Minimal additive generators of {s in N^n : sum(s_i a_i) = 0 mod m}.
 
@@ -327,30 +320,50 @@ def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBa
     divisibility-minimal nonzero invariants, because the difference of two
     invariants is invariant.  The budget charges C(min(degree_bound, m) + n, n)
     candidates; the walk visits the first n - 1 entries (a head) and solves for
-    the last.  Heads come in lexicographic order, which extends divisibility,
-    so each basis element dividing an invariant v is found before v; under one
-    head only the least last entry can be minimal, and it is tested against the
-    basis found so far.
+    the last.  Heads come from an odometer in lexicographic order, which keeps
+    the head's degree and its weight mod m in place and needs no recursion, so
+    n is not bounded by the interpreter's depth.  Lexicographic order extends
+    divisibility, so each basis element dividing an invariant v is found
+    before v; under one head only the least last entry can be minimal, and it
+    is tested against the basis found so far.  A proper divisor has a smaller
+    degree, so a v no heavier than every basis element found so far skips the
+    test.
     """
-    if degree_bound < 1:
+    if type(degree_bound) is bool or degree_bound < 1:
         raise InvalidInstanceError("degree bound must be at least 1")
     n, m, top = q.n, q.m, min(degree_bound, q.m)
     check_enum_budget(math.comb(top + n, n), "invariant monoid enumeration")
-    heads = [((), 0, 0)]  # (head entries, their weight mod m, their degree)
-    for a in q.weights[:-1]:
-        heads = _extend_heads(heads, a, m, top)
+    *lead, last = q.weights
     # s * last = -r (mod m) iff g | r and s lies in one class mod m/g; the zero vector is skipped
-    last = q.weights[-1]
     g = math.gcd(last, m)
     step = m // g
     inverse = pow(last // g, -1, step)
     basis = []
-    for p, r, d in heads:
+    least = top  # the least degree in the basis, once it is not empty
+    head, r, d = [0] * (n - 1), 0, 0  # the head entries, their weight mod m, their degree
+    while True:
         if r % g == 0:
             first = -(r // g) * inverse % step or (step if d == 0 else 0)
-            v = p + (first,)
-            if first <= top - d and not any(all(map(le, u, v)) for u in reversed(basis)):
-                basis.append(v)  # newest first above: a divisor is most often a recent element
+            if first <= top - d:
+                v = (*head, first)
+                if d + first <= least or not any(all(map(le, u, v)) for u in reversed(basis)):
+                    basis.append(v)  # newest first above: a divisor is most often a recent element
+                    least = min(least, d + first)
+        # the next head: raise the last entry, or else clear the last nonzero one and raise its neighbour
+        if d < top and head:
+            head[-1] += 1
+            d += 1
+            r = (r + lead[-1]) % m
+            continue
+        j = len(head) - 1
+        while j >= 0 and not head[j]:
+            j -= 1
+        if j <= 0:
+            break
+        d -= head[j] - 1
+        r = (r - head[j] * lead[j] + lead[j - 1]) % m
+        head[j] = 0
+        head[j - 1] += 1
     basis.sort(key=lambda e: (sum(e), e))
     return MonoidBasis(tuple(basis), degree_bound >= n * m, degree_bound)
 
@@ -430,7 +443,7 @@ def action_lift_check(r: int, m: int, a: int) -> ActionLiftReport:
     rm*(rm - a), z = xi*eta picks up a + (rm - a) = rm, everything mod r^2*m.
     """
     for name, v in (("r", r), ("m", m), ("a", a)):
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or type(v) is bool or v < 1:
             raise InvalidInstanceError(f"{name} must be a positive integer, got {v!r}")
     if math.gcd(a, r) != 1:
         raise InvalidInstanceError(f"a={a} must be coprime to r={r}")

@@ -125,13 +125,17 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
 
     The walk visits the staircase: every prefix of weight < t and its first
     crossing of t, the only value of an entry that can end a minimal
-    generator.  It recurses over the first n - 2 entries, passing down the
-    prefix, the weight still missing to t and the least weight at a nonzero
-    entry; the last two entries are one flat loop that solves the last
-    entry's crossing inline.  A point s of weight W >= t is minimal iff its
-    overshoot W - t is below min{a_i : s_i > 0}, an O(1) test; at the first
-    crossing of entry i, W - a_i < t already holds, so only the entries
-    before i are tested.  The walk meets generators in lex order, so
+    generator.  The first n - 2 entries (the head) run as an odometer over
+    an explicit stack, one level per entry, each holding t minus the weight
+    of the entries before it and the least weight at a nonzero one; raising
+    an entry to its crossing emits that crossing and carries to the entry
+    before.  Under each head the last two entries are one flat loop that
+    solves the last entry's crossing inline.  There is no recursion, so the
+    depth is not bounded by the interpreter's, and no closure, so a call
+    leaves no reference cycle behind.  A point s of weight W >= t is minimal
+    iff its overshoot W - t is below min{a_i : s_i > 0}, an O(1) test; at
+    the first crossing of entry i, W - a_i < t already holds, so only the
+    entries before i are tested.  The walk meets generators in lex order, so
     appending each generator to the row of its overshoot and joining the
     rows in overshoot order sorts them by (weight, lex); only the distinct
     overshoots are sorted, and the rows are keyed by overshoot, so their
@@ -147,38 +151,47 @@ def minimal_generators_numerator(weights: tuple, t: int) -> tuple:
     if n == 1:
         return ((ceil_div(t, weights[0]),),)
     a, b = weights[-2:]
+    h = n - 2
     top = max(weights)
     rows = defaultdict(list)  # rows[W - t]: the generators of weight W, in lex order
-
-    def walk(p: tuple, rem: int, low: int) -> None:
-        # rem = t - weight of the prefix p > 0; low = least weight at a nonzero entry of p
-        j = len(p)
-        if j < n - 2:
-            c = weights[j]
-            walk(p + (0,), rem, low)
-            low_c = min(low, c)
-            s, rem = 1, rem - c
-            while rem > 0:
-                walk(p + (s,), rem, low_c)
-                s, rem = s + 1, rem - c
-            if -rem < low:
-                rows[-rem].append(p + (s,) + (0,) * (n - 1 - j))
-            return
-        q, e = divmod(rem - 1, b)  # the last entry crosses at q + 1 with overshoot b - 1 - e
-        if b - 1 - e < low:
+    # level j of the stack, for the head entries before j: rem[j] = t - their weight > 0 and
+    # low[j] = the least weight at a nonzero one (top stands in for "no nonzero entry yet");
+    # r and lo are the same for the whole head
+    head = [0] * h
+    rem, low = [t] * h, [top] * h
+    r, lo = t, top
+    while True:
+        p = tuple(head)
+        q, e = divmod(r - 1, b)  # the last entry crosses at q + 1 with overshoot b - 1 - e
+        if b - 1 - e < lo:
             rows[b - 1 - e].append(p + (0, q + 1))
-        low_a = min(low, a)
-        s, rem = 1, rem - a
-        while rem > 0:
-            q, e = divmod(rem - 1, b)
+        low_a = lo if lo < a else a
+        s, x = 1, r - a
+        while x > 0:
+            q, e = divmod(x - 1, b)
             if b - 1 - e < low_a:
                 rows[b - 1 - e].append(p + (s, q + 1))
-            s, rem = s + 1, rem - a
-        if -rem < low:
-            rows[-rem].append(p + (s, 0))
-
-    walk((), t, top)  # top stands in for "no nonzero entry yet"
-    return tuple(itertools.chain.from_iterable(rows[o] for o in sorted(rows)))
+            s, x = s + 1, x - a
+        if -x < lo:
+            rows[-x].append(p + (s, 0))
+        # the next head: raise the last entry that stays below t, emitting each crossing on the way
+        j = h - 1
+        while j >= 0:
+            c = weights[j]
+            r -= c
+            if r > 0:
+                break
+            if -r < low[j]:
+                rows[-r].append((*head[:j], head[j] + 1) + (0,) * (n - 1 - j))
+            head[j] = 0
+            r = rem[j]
+            j -= 1
+        else:
+            return tuple(itertools.chain.from_iterable(rows[o] for o in sorted(rows)))
+        head[j] += 1
+        lo = low[j] if low[j] < c else c
+        for i in range(j + 1, h):  # the entries after j are back at 0
+            rem[i], low[i] = r, lo
 
 
 def ideal_generators(system: WeightSystem, k) -> WeightedIdeal:

@@ -177,6 +177,11 @@ class TestPolynomial:
         with pytest.raises(DimensionError, match=r"^variable index 3 out of range 1\.\.2$"):
             Polynomial.variable(2, 3)
 
+    @pytest.mark.parametrize("nvars", [True, False])
+    def test_bool_variable_count_refused(self, nvars):
+        with pytest.raises(DimensionError, match=rf"^nvars must be a positive integer, got {nvars!r}$"):
+            Polynomial(nvars, {(1,): 1})
+
 
 class TestSemiInvariantClass:
     def test_surface_equation(self):
@@ -268,6 +273,20 @@ class TestInvariantMonoidBasis:
             basis = invariant_monoid_basis(q, 2 * rm)
             assert set(basis.generators) == {(rm, 0), (0, rm), (1, 1)}
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_bool_degree_bound_refused(self, bound):
+        with pytest.raises(InvalidInstanceError, match=r"^degree bound must be at least 1$"):
+            invariant_monoid_basis(CyclicQuotientType(2, (1, 1)), bound)
+
+    def test_eleven_hundred_weights_give_the_unit_vectors(self):
+        # 1,099 head entries, past the interpreter's recursion limit; each unit vector is as light
+        # as the basis found before it, so none is tested against that basis
+        n = 1100
+        basis = invariant_monoid_basis(CyclicQuotientType(1, (1,) * n), n)
+        units = tuple(tuple(int(i == j) for i in range(n)) for j in reversed(range(n)))
+        assert basis.generators == units
+        assert basis.complete and basis.degree_bound == n
+
     @settings(max_examples=200, deadline=None)
     @given(quotient_and_bound())
     def test_whole_basis_matches_sum_of_two_oracle(self, case):
@@ -340,6 +359,11 @@ class TestActionLiftCheck:
     def test_requires_positive_integers(self):
         with pytest.raises(InvalidInstanceError, match=r"^r must be a positive integer, got 0$"):
             action_lift_check(0, 1, 1)
+
+    @pytest.mark.parametrize("name, args", [("r", (True, 1, 1)), ("m", (1, True, 1)), ("a", (1, 1, True))])
+    def test_bool_refused(self, name, args):
+        with pytest.raises(InvalidInstanceError, match=rf"^{name} must be a positive integer, got True$"):
+            action_lift_check(*args)
 
     def test_sweep(self):
         for r in range(1, 7):

@@ -147,6 +147,17 @@ def staircase_case(draw):
     return weights, draw(st.integers(-2, t_max))
 
 
+@st.composite
+def deep_staircase_case(draw):
+    # n 6-9 puts 4-7 levels on the walk's stack; t is capped by a 20,000-point box
+    n = draw(st.integers(6, 9))
+    weights = tuple(draw(st.integers(1, 12)) for _ in range(n))
+    t_max = 80
+    while t_max > 0 and math.prod(t_max // a + 1 for a in weights[:-1]) > 20000:
+        t_max -= 1
+    return weights, draw(st.integers(-2, t_max))
+
+
 class TestIdealGenerators:
     def test_square_of_maximal_ideal(self):
         ideal = ideal_generators(WeightSystem((1, 1), 1), 2)
@@ -190,6 +201,20 @@ class TestIdealGenerators:
     def test_flat_walk_matches_recursive_oracle(self, case):
         weights, t = case
         assert minimal_generators_numerator(weights, t) == staircase_min_gens(weights, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(deep_staircase_case())
+    def test_deep_walk_matches_recursive_oracle(self, case):
+        weights, t = case
+        assert minimal_generators_numerator(weights, t) == staircase_min_gens(weights, t)
+
+    def test_eleven_hundred_variables(self, monkeypatch):
+        # 1,098 levels on the walk's stack, past the interpreter's recursion limit;
+        # the nominal box 2^1100 needs a raised cap
+        monkeypatch.setenv("WBLOW_MAX_ENUM", str(10**400))
+        n = 1100
+        ideal = ideal_generators(WeightSystem((1,) * n, 1), 1)
+        assert ideal.gens == tuple(tuple(int(i == j) for i in range(n)) for j in reversed(range(n)))
 
     @pytest.mark.parametrize(
         "weights, t, gens",
