@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": ("ExpVec", "divides", "expvec", "lcm_of", "normalize_weights"),
     "blowup": (
-        "Chart", "ExceptionalInfo", "Fan", "build_fan", "chart", "cone_index", "exceptional_info",
-        "exceptional_valuation", "fan_is_subdivision", "pushforward_decomposition",
-        "strict_transform_in_chart",
+        "Chart", "ExceptionalInfo", "Fan", "build_fan", "chart", "cone_index", "cone_indices",
+        "exceptional_info", "exceptional_valuation", "fan_is_subdivision",
+        "pushforward_decomposition", "strict_transform_in_chart",
     ),
     "errors": ("WblowError",),
     "lifting": (

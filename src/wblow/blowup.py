@@ -50,7 +50,7 @@ class Fan:
     i is given by the indices of its n generating rays (all unit rays but
     the i-th, plus the center).  The record itself is unvalidated so that
     tests can corrupt it; ``fan_is_subdivision`` certifies the layout that
-    ``build_fan`` always returns, and ``cone_index`` refuses any other.
+    ``build_fan`` always returns, and ``cone_indices`` refuses any other.
     """
 
     n: int
@@ -100,21 +100,27 @@ def _check_chart_index(i: int, n: int) -> None:
         raise DimensionError(f"chart index {i} out of range 1..{n}")
 
 
-def cone_index(fan: Fan, i: int) -> int:
-    """Index of chart cone i in the blow-up lattice (unit lattice plus the center ray).
+def cone_indices(fan: Fan) -> tuple:
+    """Index of each chart cone in the blow-up lattice (unit lattice plus the center ray), in order.
 
     That is |det| of the cone generators times the order of the center
     modulo the unit lattice.  On a certified star layout with center v over
     m, cone i has determinant v_i * m^(n-1) over m^n and the center has
     order m / gcd(m, v), so the index is v_i / gcd(m, v), always an integer.
-    The index range is checked first; a record that is not the star layout
-    is refused.
+    The record is certified once for all n indices; a record that is not
+    the star layout is refused.
     """
-    _check_chart_index(i, fan.n)
     if not fan_is_subdivision(fan):
         raise InvalidInstanceError("the fan record is not the star subdivision of the orthant")
     center = fan.numerators[-1]
-    return center[i - 1] // math.gcd(fan.m, *center)
+    common = math.gcd(fan.m, *center)
+    return tuple(v // common for v in center)
+
+
+def cone_index(fan: Fan, i: int) -> int:
+    """Index of chart cone i, ``cone_indices(fan)[i - 1]``; the index range is checked first."""
+    _check_chart_index(i, fan.n)
+    return cone_indices(fan)[i - 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,17 +152,19 @@ def chart(system: WeightSystem, i: int) -> Chart:
     """The i-th chart (1-based) of the blow-up for the given weight system.
 
     The numerator matrix is the star layout's unit rays m*e_j with column i
-    replaced by the weights, the center ray of cone i.  Memoised: both
-    arguments are hashable and the ``Chart`` is frozen, so repeated calls
-    for one system share one record.  The cache is kept small because
-    callers sweep the charts of one system at a time.
+    replaced by the weights, the center ray of cone i; only these n rows
+    are built, not the fan's cones.  Memoised: both arguments are hashable
+    and the ``Chart`` is frozen, so repeated calls for one system share one
+    record.  The cache is kept small because callers sweep the charts of
+    one system at a time.
     """
     n, a, m = system.n, system.weights, system.m
     _check_chart_index(i, n)
     i0 = i - 1
     qtype = CyclicQuotientType(a[i0], tuple(m if j == i0 else -a[j] for j in range(n)))
-    unit, _ = _star_layout(n, m)
-    rows = tuple(row[:i0] + (a_j,) + row[i0 + 1 :] for row, a_j in zip(unit, a))
+    rows = tuple(
+        tuple(a_j if k == i0 else m if k == j else 0 for k in range(n)) for j, a_j in enumerate(a)
+    )
     return Chart(i, qtype, m, rows)
 
 

@@ -5,7 +5,10 @@ emits reports as human-readable text or deterministic JSON (stable key
 order, rationals as "p/q" strings, schema_version pinned).  Exit codes:
 0 success, 1 domain error (bad input, argv usage error, enumeration cap),
 2 verification failure (a checker reported fail), 3 internal-consistency
-failure.
+failure.  ``run`` encodes each result once before it returns: a result
+holding an integer past the interpreter's int-to-str limit becomes an
+out-of-domain report (exit 1) there, so ``main`` renders every report once
+and a batch entry fails alike in text and JSON.
 
 Every command is defined once, in ``COMMANDS``: its handler, its target
 reader (None if it takes no target), its help line and its parameters with
@@ -33,6 +36,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import blowup, quotient, wideal  # lifting loads only in lift-check and chain
+from .arith import check_enum_budget
 from .errors import (
     BatchUnreadableError,
     InternalConsistencyError,
@@ -154,30 +158,6 @@ def _is_digit_limit_error(exc: ValueError) -> bool:
     return False
 
 
-def _too_long_report(command: str, input_echo: dict) -> Report:
-    refusal = OutOfDomainError(
-        f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
-        " too long to be written as text"
-    )
-    return _error_report(command, input_echo, refusal)
-
-
-def _rendered(report: Report, render: Callable[[Report], str]) -> tuple:
-    """(report, render(report)), or the same for the out-of-domain report of a result too long to write.
-
-    Only a result integer past the interpreter's int-to-str limit fails to
-    render, so a command run from the command line pays no check besides
-    its one rendering.
-    """
-    try:
-        return report, render(report)
-    except ValueError as exc:
-        if not _is_digit_limit_error(exc):
-            raise
-    report = _too_long_report(report.command, report.input)
-    return report, render(report)
-
-
 def _error_report(command: str, input_echo: dict, exc: WblowError) -> Report:
     error = {"kind": exc.kind, "message": str(exc)}
     if isinstance(exc, NotationError):
@@ -252,7 +232,8 @@ def _relation_dict(rel: quotient.BinomialRelation) -> dict:
 
 def _cmd_charts(system: wideal.WeightSystem, params: dict):
     indices = [params["chart"]] if params["chart"] is not None else range(1, system.n + 1)
-    fan = blowup.build_fan(system)
+    check_enum_budget(len(indices) * system.n**2, "chart substitution listing")
+    cone_indices = blowup.cone_indices(blowup.build_fan(system))
     charts = []
     for i in indices:
         ch = blowup.chart(system, i)
@@ -262,7 +243,7 @@ def _cmd_charts(system: wideal.WeightSystem, params: dict):
                 "order": ch.quotient_type.m,
                 "quotient_type": _quotient_dict(ch.quotient_type),
                 "substitution": [_fracvec(row) for row in ch.substitution],
-                "cone_index": blowup.cone_index(fan, i),
+                "cone_index": cone_indices[i - 1],
             }
         )
     result = {"system": _system_dict(system), "charts": charts}
@@ -275,14 +256,16 @@ def _cmd_fan(system: wideal.WeightSystem, params: dict):
     if grid < 1:
         raise InvalidInstanceError(f"the sample grid must be at least 1, got {grid}")
     fan = blowup.build_fan(system)
-    if not blowup.fan_is_subdivision(fan):
+    try:
+        cone_indices = blowup.cone_indices(fan)
+    except InvalidInstanceError:
         raise InternalConsistencyError("the constructed fan failed its own subdivision check")
     result = {
         "system": _system_dict(system),
         "rays": [_fracvec(ray) for ray in fan.rays],
         "cones": [list(cone) for cone in fan.cones],
         "subdivision_check": {"grid": grid, "ok": True},
-        "cone_indices": [blowup.cone_index(fan, i) for i in range(1, fan.n + 1)],
+        "cone_indices": list(cone_indices),
     }
     return result, ["subdivision verified on the deterministic sample grid"], True
 
@@ -614,8 +597,10 @@ def validate_spec(spec: RunSpec) -> None:
 def run(spec: RunSpec) -> Report:
     """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome.
 
-    A result holding an integer too long to write is refused where it is
-    rendered (``main``) or checked (``run_batch``), not here.
+    The result is encoded once (``json.dumps``, the C encoder) before it is
+    wrapped: an integer past the interpreter's int-to-str limit, met there
+    or while the handler ran, makes the run an out-of-domain report.  So
+    every report returned renders, in text and in JSON.
     """
     input_echo = {"target": spec.target, "parameters": dict(sorted(spec.parameters.items()))}
     try:
@@ -624,12 +609,17 @@ def run(spec: RunSpec) -> Report:
         target = command.target(spec.target) if command.target else None
         params = {p.name: p.default for p in command.params} | spec.parameters
         result, provenance, ok = command.handler(target, params)
+        json.dumps(result)
     except WblowError as exc:
         return _error_report(spec.command, input_echo, exc)
-    except ValueError as exc:  # a rational or a message spelled with a too-long integer
+    except ValueError as exc:  # the result, a rational or a message spelled with a too-long integer
         if not _is_digit_limit_error(exc):
             raise
-        return _too_long_report(spec.command, input_echo)
+        refusal = OutOfDomainError(
+            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " too long to be written as text"
+        )
+        return _error_report(spec.command, input_echo, refusal)
     return Report(
         command=spec.command,
         input=input_echo,
@@ -684,12 +674,9 @@ def run_batch(path: str) -> Report:
     reports = []
     for entry in entries:
         try:
-            report = run(_spec_of_entry(entry))
+            reports.append(run(_spec_of_entry(entry)))
         except InvalidInstanceError as exc:
             reports.append(_error_report("batch-entry", {"entry": repr(entry)}, exc))
-            continue
-        # each entry is rendered once here, so its status does not depend on the batch's format
-        reports.append(_rendered(report, lambda r: json.dumps(r.result))[0])
     statuses = {r.status for r in reports}
     status = next((s for s in ("error", "verification-failed") if s in statuses), "ok")
     return Report(
@@ -778,11 +765,10 @@ def main(argv=None) -> int:
         rendered = report.to_json() if _wants_json(argv) else report.to_text()
     else:
         if args.command == "batch":
-            report = run_batch(args.path)
-            rendered = report.to_json() if args.format == "json" else _batch_text(report)
+            report, to_text = run_batch(args.path), _batch_text
         else:
-            render = Report.to_json if args.format == "json" else Report.to_text
-            report, rendered = _rendered(run(spec_from_args(args)), render)
+            report, to_text = run(spec_from_args(args)), Report.to_text
+        rendered = report.to_json() if args.format == "json" else to_text(report)
     # a report with a result, a batch report included, is output; one without is an error
     stream = sys.stderr if report.result is None else sys.stdout
     try:

@@ -578,6 +578,15 @@ class TestMainEntry:
             "message": "the result holds an integer of more than 4300 digits, too long to be written as text",
         }
 
+    def test_run_refuses_an_over_long_result_itself(self):
+        # lcm(weights) has 4,401 digits: run refuses it before any report is rendered
+        report = run(RunSpec("wt", f"1/1(1{'0' * 2200},1{'0' * 2199}1)", {"poly": "x1"}))
+        assert (report.status, report.exit_code, report.result) == ("error", 1, None)
+        assert report.error == {
+            "kind": "out-of-domain",
+            "message": "the result holds an integer of more than 4300 digits, too long to be written as text",
+        }
+
     def test_over_long_integer_in_a_message_exits_1_with_report(self, capsys):
         # lcm(weights)/m has 4,401 digits; the refusal of b spells it, which the interpreter refuses
         target = f"1/1(1{'0' * 2200},1{'0' * 2199}1)"
@@ -791,6 +800,13 @@ class TestErrorPaths:
              "invalid-weights", "group order must be a positive integer, got 0"),
             (None, ["wt", "1/1(1,2)", "--poly", "x1^0"],
              "parse-error", "exponents must be positive (position 5)"),
+            # 11 charts of 11 x 11 entries: the first size a cap of 1,000 refuses
+            ("1000", ["charts", "1/1(" + ",".join(["1"] * 11) + ")"],
+             "enumeration-limit",
+             "chart substitution listing needs 1331 enumeration steps, over the limit"
+             " of 1000; raise WBLOW_MAX_ENUM to allow it"),
+            (None, ["truncation", "1/1(2,3)", "--b", "0", "--d", "2"],
+             "invalid-instance", "b must be a positive multiple of lcm(weights)/m = 6, got 0"),
         ],
     )
     def test_exit_1_with_kind_and_message(self, capsys, monkeypatch, env, argv, kind, message):
@@ -804,6 +820,14 @@ class TestErrorPaths:
         assert {k: payload["error"][k] for k in ("kind", "message")} == {
             "kind": kind, "message": message
         }
+
+    @pytest.mark.parametrize("n, chart", [(10, None), (11, 1)])
+    def test_charts_under_the_cap_are_answered(self, monkeypatch, n, chart):
+        # 10 charts of 10 x 10 entries, or one chart of 11 x 11, fit a cap of 1,000
+        monkeypatch.setenv("WBLOW_MAX_ENUM", "1000")
+        params = {} if chart is None else {"chart": chart}
+        report = run_ok("charts", "1/1(" + ",".join(["1"] * n) + ")", **params)
+        assert len(report.result["charts"]) == (n if chart is None else 1)
 
     def test_negative_fraction_joined_to_its_flag(self, capsys):
         assert main(["ideal", "1/1(1)", "--k=-1/2", "--format", "json"]) == 0

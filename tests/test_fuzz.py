@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wblow.cli import COMMANDS, REPORT_SCHEMA, Report, RunSpec, _rendered, run
+from wblow.cli import COMMANDS, REPORT_SCHEMA, Report, RunSpec, run
 
 #: superscript two, Arabic-Indic one, fullwidth five, Devanagari three
 NON_ASCII_DIGITS = "²١５३"
@@ -171,10 +171,8 @@ def test_every_spec_ends_in_a_typed_report(spec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("WBLOW_MAX_ENUM", "20000")
         report = run(spec)
-    for render in (Report.to_json, Report.to_text):
-        rendered_report, rendered = _rendered(report, render)
-        assert_typed_report(rendered_report)
-        if render is Report.to_json:
-            VALIDATOR.validate(json.loads(rendered))
-    batch_report, _ = _rendered(report, lambda r: json.dumps(r.result))
-    assert_typed_report(batch_report)
+    assert_typed_report(report)
+    # run refuses a result too long to write, so every report it returns renders
+    VALIDATOR.validate(json.loads(report.to_json()))
+    report.to_text()
+    json.dumps(report.result)

@@ -341,6 +341,8 @@ class TestProductVsTruncation:
             product_vs_truncation(WeightSystem((2, 3), 1), 5, 2)
         with pytest.raises(InvalidInstanceError):
             product_vs_truncation(WeightSystem((2, 3), 1), Fraction(-6), 2)
+        with pytest.raises(InvalidInstanceError):
+            product_vs_truncation(WeightSystem((2, 3), 1), 0, 2)
 
     def test_d_lower_bound(self):
         with pytest.raises(InvalidInstanceError):
