@@ -6,7 +6,9 @@ decomposition through which a weighted blow-up structure on a hyperplane
 section extends to the ambient contraction.  All arithmetic is exact.
 
 The exports below load on first use (PEP 562), so ``python -m wblow`` pays
-only for the modules its command needs.
+only for the modules its command needs: ``blowup`` loads only for the
+commands that build charts or fans, pushforwards or strict transforms, and
+``lifting`` only for ``lift-check`` and ``chain``.
 """
 
 import importlib

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Sequence
 from operator import le
-from typing import Iterable, Sequence
 
 from .errors import DimensionError, EnumerationLimitError, InvalidWeightsError
 

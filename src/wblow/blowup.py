@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     UndefinedWeightError,
 )
 from .quotient import CyclicQuotientType, Polynomial, semi_invariant_class
+from .record import Record, set_field
 from .wideal import (
     WeightedIdeal,
     WeightSystem,
@@ -41,8 +41,7 @@ from .wideal import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Fan:
+class Fan(Record):
     """Star subdivision data: unit rays e_1..e_n, the center e, and top cones.
 
     ``numerators`` lists the rays as integer vectors over ``m`` (m*e_1, ...,
@@ -53,10 +52,11 @@ class Fan:
     ``build_fan`` always returns, and ``cone_indices`` refuses any other.
     """
 
-    n: int
-    m: int
-    numerators: tuple
-    cones: tuple
+    def __init__(self, n: int, m: int, numerators: tuple, cones: tuple):
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "numerators", numerators)
+        set_field(self, "cones", cones)
 
     @property
     def rays(self) -> tuple:
@@ -123,8 +123,7 @@ def cone_index(fan: Fan, i: int) -> int:
     return cone_indices(fan)[i - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class Chart:
+class Chart(Record):
     """One affine piece of the blow-up.
 
     ``numerators`` is the n x n integer matrix of exponent numerators over
@@ -136,10 +135,11 @@ class Chart:
     (-a_1,...,m,...,-a_n) reduced mod a_i (trivial when a_i = 1).
     """
 
-    index: int
-    quotient_type: CyclicQuotientType
-    m: int
-    numerators: tuple
+    def __init__(self, index: int, quotient_type: CyclicQuotientType, m: int, numerators: tuple):
+        set_field(self, "index", index)
+        set_field(self, "quotient_type", quotient_type)
+        set_field(self, "m", m)
+        set_field(self, "numerators", numerators)
 
     @property
     def substitution(self) -> tuple:
@@ -182,16 +182,15 @@ def exceptional_valuation(f: Polynomial, system: WeightSystem, chart_index: int)
     return weight
 
 
-@dataclass(frozen=True, slots=True)
-class PushforwardRecord:
+class PushforwardRecord(Record):
     """One level of the pushforward: the ideal of functions vanishing to order >= a."""
 
-    a: int
-    ideal: WeightedIdeal
+    def __init__(self, a: int, ideal: WeightedIdeal):
+        set_field(self, "a", a)
+        set_field(self, "ideal", ideal)
 
 
-@dataclass(frozen=True, slots=True)
-class PushforwardReport:
+class PushforwardReport(Record):
     """Decomposition of the pullback of the divisor (f = 0).
 
     The pullback is the strict transform plus ``multiplicity`` times the
@@ -201,10 +200,13 @@ class PushforwardReport:
     structural fact of the blow-up, while each ideal is computed here.
     """
 
-    system: WeightSystem
-    multiplicity: Fraction
-    eigenvalue_class: int
-    records: tuple
+    def __init__(
+        self, system: WeightSystem, multiplicity: Fraction, eigenvalue_class: int, records: tuple
+    ):
+        set_field(self, "system", system)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "eigenvalue_class", eigenvalue_class)
+        set_field(self, "records", records)
 
 
 def pushforward_decomposition(
@@ -231,8 +233,7 @@ def pushforward_decomposition(
     return PushforwardReport(system, multiplicity, eig, tuple(reversed(records)))
 
 
-@dataclass(frozen=True, slots=True)
-class TransformedEquation:
+class TransformedEquation(Record):
     """Strict transform of an equation in one chart.
 
     ``terms`` maps barred exponent vectors (exact, possibly fractional in the
@@ -241,9 +242,10 @@ class TransformedEquation:
     chart coordinate divided out, i.e. the weight of the equation.
     """
 
-    chart_index: int
-    factored_exponent: Fraction
-    terms: tuple  # ((exponent tuple, coefficient), ...) sorted
+    def __init__(self, chart_index: int, factored_exponent: Fraction, terms: tuple):
+        set_field(self, "chart_index", chart_index)
+        set_field(self, "factored_exponent", factored_exponent)
+        set_field(self, "terms", terms)  # ((exponent tuple, coefficient), ...) sorted
 
     def term_dict(self) -> dict:
         return dict(self.terms)
@@ -287,8 +289,7 @@ def strict_transform_in_chart(
     return TransformedEquation(chart_index, weight, terms)
 
 
-@dataclass(frozen=True, slots=True)
-class ExceptionalInfo:
+class ExceptionalInfo(Record):
     """Bookkeeping for the exceptional divisor of the blow-up.
 
     ``projective_space`` describes the divisor (weighted projective space of
@@ -299,12 +300,16 @@ class ExceptionalInfo:
     carried for reports and never computed here.
     """
 
-    lcm: int
-    weights_product: int
-    m: int
-    projective_space: str
-    cartier_generator: str
-    vanishing_fact: str
+    def __init__(
+        self, lcm: int, weights_product: int, m: int, projective_space: str,
+        cartier_generator: str, vanishing_fact: str,
+    ):
+        set_field(self, "lcm", lcm)
+        set_field(self, "weights_product", weights_product)
+        set_field(self, "m", m)
+        set_field(self, "projective_space", projective_space)
+        set_field(self, "cartier_generator", cartier_generator)
+        set_field(self, "vanishing_fact", vanishing_fact)
 
     def restriction(self, a: int) -> str:
         """Degree of the restricted sheaf at level a (a must be divisible by the weight product)."""

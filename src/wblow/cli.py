@@ -33,9 +33,8 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
-from . import blowup, quotient, wideal  # lifting loads only in lift-check and chain
+from . import quotient, wideal  # blowup and lifting load only in the commands that use them
 from .arith import check_enum_budget
 from .errors import (
     BatchUnreadableError,
@@ -52,6 +51,16 @@ from .notation import (
     parse_singularity,
     parse_weight_system,
 )
+from .record import Record, set_field
+
+
+def __getattr__(name):
+    """``wblow.cli.blowup`` is the ``wblow.blowup`` module, loaded on first use (PEP 562)."""
+    if name == "blowup":
+        from . import blowup
+        return blowup
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -85,24 +94,25 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Record):
     """One validated command invocation."""
 
-    command: str
-    target: str | None
-    parameters: dict
+    def __init__(self, command: str, target: str | None, parameters: dict):
+        set_field(self, "command", command)
+        set_field(self, "target", target)
+        set_field(self, "parameters", parameters)
 
 
-@dataclass
-class Report:
-    command: str
-    input: dict
-    status: str = "ok"
-    exit_code: int = 0
-    result: dict | None = None
-    error: dict | None = None
-    provenance: list = field(default_factory=list)
+class Report(Record):
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(
+        self, command: str, input: dict, status: str = "ok", exit_code: int = 0,
+        result: dict | None = None, error: dict | None = None, provenance: list | None = None,
+    ):
+        self.command, self.input, self.status, self.exit_code = command, input, status, exit_code
+        self.result, self.error = result, error
+        self.provenance = [] if provenance is None else provenance
 
     def to_payload(self) -> dict:
         own = {"schema_version": SCHEMA_VERSION, "provenance": list(self.provenance)}
@@ -231,6 +241,7 @@ def _relation_dict(rel: quotient.BinomialRelation) -> dict:
 
 
 def _cmd_charts(system: wideal.WeightSystem, params: dict):
+    from . import blowup
     indices = [params["chart"]] if params["chart"] is not None else range(1, system.n + 1)
     check_enum_budget(len(indices) * system.n**2, "chart substitution listing")
     cone_indices = blowup.cone_indices(blowup.build_fan(system))
@@ -251,6 +262,7 @@ def _cmd_charts(system: wideal.WeightSystem, params: dict):
 
 
 def _cmd_fan(system: wideal.WeightSystem, params: dict):
+    from . import blowup
     # the exact check takes no grid; --grid is validated and echoed because the report shape is pinned
     grid = params["grid"]
     if grid < 1:
@@ -300,6 +312,7 @@ def _cmd_wt(system: wideal.WeightSystem, params: dict):
 
 
 def _cmd_pushforward(system: wideal.WeightSystem, params: dict):
+    from . import blowup
     f = parse_polynomial(params["f"], nvars=system.n)
     report = blowup.pushforward_decomposition(f, system, params["a_max"])
     result = {
@@ -321,6 +334,7 @@ def _cmd_pushforward(system: wideal.WeightSystem, params: dict):
 
 
 def _cmd_transform(system: wideal.WeightSystem, params: dict):
+    from . import blowup
     g = parse_polynomial(params["g"], nvars=system.n)
     teq = blowup.strict_transform_in_chart(g, system, params["chart"])
     def terms_payload(terms):
@@ -337,7 +351,6 @@ def _cmd_transform(system: wideal.WeightSystem, params: dict):
 
 def _cmd_lift_check(_, params: dict):
     from . import lifting
-
     base = _csv_ints(params["sigma_prime"], "sigma-prime")
     inst = lifting.make_lift_instance(base, params["m"], params["a"])
     mutate = params["mutate"]
@@ -357,7 +370,6 @@ def _cmd_lift_check(_, params: dict):
 
 def _cmd_chain(start, params: dict):
     from . import lifting
-
     if isinstance(start, quotient.CyclicQuotientType):
         start = quotient.HyperquotientType(start, quotient.Polynomial.zero(start.n), 0)
     a_sequence = _csv_ints(params["a_sequence"], "a-sequence")
@@ -492,23 +504,29 @@ def _cmd_truncation(system: wideal.WeightSystem, params: dict):
 # and dispatch are generated from it.
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """A command parameter; its flag is ``--`` + name with ``_`` as ``-``."""
 
-    name: str
-    type: type  # int, str or bool (a bool is a flag that takes no value)
-    required: bool = False
-    help: str | None = None
-    default: object = None  # what the handler sees when the parameter is not given
+    def __init__(
+        self, name: str, type: type, required: bool = False, help: str | None = None,
+        default: object = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "type", type)  # int, str or bool (a bool is a flag that takes no value)
+        set_field(self, "required", required)
+        set_field(self, "help", help)
+        set_field(self, "default", default)  # what the handler sees when it is not given
 
 
-@dataclass(frozen=True)
-class Command:
-    handler: Callable[[object, dict], tuple]
-    target: Callable[[str], object] | None  # reads the target; None: the command takes none
-    help: str
-    params: tuple[Param, ...] = ()
+class Command(Record):
+    def __init__(
+        self, handler: Callable[[object, dict], tuple], target: Callable[[str], object] | None,
+        help: str, params: tuple[Param, ...] = (),
+    ):
+        set_field(self, "handler", handler)
+        set_field(self, "target", target)  # reads the target; None: the command takes none
+        set_field(self, "help", help)
+        set_field(self, "params", params)
 
 
 COMMANDS = {
@@ -594,16 +612,35 @@ def validate_spec(spec: RunSpec) -> None:
             raise InvalidInstanceError(f"missing parameter {p.name!r} for {spec.command!r}")
 
 
+def _too_long(value) -> bool:
+    """Whether ``value`` is an integer past the interpreter's int-to-str limit."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return True
+    return False
+
+
 def run(spec: RunSpec) -> Report:
     """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome.
 
-    The result is encoded once (``json.dumps``, the C encoder) before it is
-    wrapped: an integer past the interpreter's int-to-str limit, met there
-    or while the handler ran, makes the run an out-of-domain report.  So
-    every report returned renders, in text and in JSON.
+    An integer past the interpreter's int-to-str limit makes the run an
+    out-of-domain report: in a parameter, refused first and echoed as a
+    note, or met while the handler ran, or in the result, which is encoded
+    once (``json.dumps``, the C encoder) before it is wrapped.  So every
+    report returned renders, in text and in JSON.
     """
-    input_echo = {"target": spec.target, "parameters": dict(sorted(spec.parameters.items()))}
+    parameters = dict(sorted(spec.parameters.items()))
+    too_long = [name for name, value in parameters.items() if _too_long(value)]
+    digits = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    parameters.update(dict.fromkeys(too_long, f"<{digits}>"))
+    input_echo = {"target": spec.target, "parameters": parameters}
     try:
+        if too_long:
+            raise OutOfDomainError(
+                f"parameter {too_long[0]!r} holds {digits}, too long to be written as text"
+            )
         validate_spec(spec)
         command = COMMANDS[spec.command]
         target = command.target(spec.target) if command.target else None
@@ -615,10 +652,7 @@ def run(spec: RunSpec) -> Report:
     except ValueError as exc:  # the result, a rational or a message spelled with a too-long integer
         if not _is_digit_limit_error(exc):
             raise
-        refusal = OutOfDomainError(
-            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
-            " too long to be written as text"
-        )
+        refusal = OutOfDomainError(f"the result holds {digits}, too long to be written as text")
         return _error_report(spec.command, input_echo, refusal)
     return Report(
         command=spec.command,

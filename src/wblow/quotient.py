@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
 
@@ -26,6 +25,7 @@ from .errors import (
     UndefinedWeightError,
     UnsupportedShapeError,
 )
+from .record import Record, set_field
 
 
 class Polynomial:
@@ -39,8 +39,6 @@ class Polynomial:
     weight system asked for (:meth:`weighed`); it takes no part in ``==``,
     ``hash``, copies or pickles.
     """
-
-    __slots__ = ("nvars", "_terms", "_weighed")
 
     def __init__(self, nvars: int, terms: Mapping[ExpVec, Fraction] | Iterable = ()):
         if not isinstance(nvars, int) or type(nvars) is bool or nvars < 1:
@@ -188,8 +186,7 @@ class Polynomial:
         return self.text()
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicQuotientType:
+class CyclicQuotientType(Record):
     """The quotient of affine n-space by a cyclic group of order m acting
     diagonally with the given weights, written 1/m(a_1,...,a_n).
 
@@ -197,19 +194,17 @@ class CyclicQuotientType:
     negative spellings like 1/3(1,-1,1) compare equal to 1/3(1,2,1).
     """
 
-    m: int
-    weights: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or type(self.m) is bool or self.m < 1:
-            raise InvalidWeightsError(f"group order must be a positive integer, got {self.m!r}")
-        ws = tuple(self.weights)
+    def __init__(self, m: int, weights: tuple):
+        if not isinstance(m, int) or type(m) is bool or m < 1:
+            raise InvalidWeightsError(f"group order must be a positive integer, got {m!r}")
+        ws = tuple(weights)
         if not ws:
             raise InvalidWeightsError("at least one weight is required")
         for w in ws:
             if not isinstance(w, int) or isinstance(w, bool):
                 raise InvalidWeightsError(f"weights must be integers, got {w!r}")
-        object.__setattr__(self, "weights", tuple(w % self.m for w in ws))
+        set_field(self, "m", m)
+        set_field(self, "weights", tuple(w % m for w in ws))
 
     @property
     def n(self) -> int:
@@ -226,8 +221,7 @@ class CyclicQuotientType:
         return self.notation()
 
 
-@dataclass(frozen=True, slots=True)
-class HyperquotientType:
+class HyperquotientType(Record):
     """A hypersurface (g = 0) inside a cyclic quotient, type 1/m(a_0,...,a_n; e).
 
     ``g`` must be semi-invariant of class ``e`` under the ambient action; the
@@ -236,27 +230,19 @@ class HyperquotientType:
     quotient); its class is taken to be 0 by convention.
     """
 
-    ambient: CyclicQuotientType
-    g: Polynomial
-    e: int
-
-    def __post_init__(self):
-        if self.g.nvars != self.ambient.n:
-            raise DimensionError(
-                f"equation has {self.g.nvars} variables, ambient type has {self.ambient.n}"
-            )
-        if self.g.is_zero:
-            object.__setattr__(self, "e", 0)
-            return
-        e = semi_invariant_class(self.g, self.ambient)
-        declared = self.e % self.ambient.m
-        if declared != e:
+    def __init__(self, ambient: CyclicQuotientType, g: Polynomial, e: int):
+        if g.nvars != ambient.n:
+            raise DimensionError(f"equation has {g.nvars} variables, ambient type has {ambient.n}")
+        found, declared = (0, 0) if g.is_zero else (semi_invariant_class(g, ambient), e % ambient.m)
+        if declared != found:
             raise NotSemiInvariantError(
-                f"equation is semi-invariant of class {e} mod {self.ambient.m},"
+                f"equation is semi-invariant of class {found} mod {ambient.m},"
                 f" not the declared class {declared}",
-                monomials=self.g.support()[:1],
+                monomials=g.support()[:1],
             )
-        object.__setattr__(self, "e", e)
+        set_field(self, "ambient", ambient)
+        set_field(self, "g", g)
+        set_field(self, "e", found)
 
     @property
     def dimension(self) -> int:
@@ -295,8 +281,7 @@ def semi_invariant_class(g: Polynomial, q: CyclicQuotientType) -> int:
     return cls
 
 
-@dataclass(frozen=True, slots=True)
-class MonoidBasis:
+class MonoidBasis(Record):
     """Hilbert basis of the invariant-exponent monoid, up to a degree bound.
 
     ``degree_bound`` echoes the bound asked for; ``complete`` is True when
@@ -306,9 +291,10 @@ class MonoidBasis:
     change that updates them together.
     """
 
-    generators: tuple
-    complete: bool
-    degree_bound: int
+    def __init__(self, generators: tuple, complete: bool, degree_bound: int):
+        set_field(self, "generators", generators)
+        set_field(self, "complete", complete)
+        set_field(self, "degree_bound", degree_bound)
 
 
 def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBasis:
@@ -368,16 +354,16 @@ def invariant_monoid_basis(q: CyclicQuotientType, degree_bound: int) -> MonoidBa
     return MonoidBasis(tuple(basis), degree_bound >= n * m, degree_bound)
 
 
-@dataclass(frozen=True, slots=True)
-class BinomialRelation:
+class BinomialRelation(Record):
     """The single relation alpha*u + beta*v = gamma*w among a 3-element basis.
 
     ``basis`` is ordered (u, v, w) with w the generator expressible through
     the other two; exponents are positive and primitive.
     """
 
-    basis: tuple
-    exponents: tuple
+    def __init__(self, basis: tuple, exponents: tuple):
+        set_field(self, "basis", basis)
+        set_field(self, "exponents", exponents)
 
     def holds(self) -> bool:
         alpha, beta, gamma = self.exponents
@@ -419,8 +405,7 @@ def binomial_relation_2d(q: CyclicQuotientType) -> BinomialRelation:
     return BinomialRelation(ordered, exponents)
 
 
-@dataclass(frozen=True, slots=True)
-class ActionLiftReport:
+class ActionLiftReport(Record):
     """Outcome of lifting a residual quotient action through the invariant cover.
 
     For the degree-rm cover (x, y, z) = (xi^rm, eta^rm, xi*eta) of the
@@ -430,10 +415,11 @@ class ActionLiftReport:
     through the rm-th power of the group generator.
     """
 
-    ok: bool
-    group_order: int
-    induced: tuple
-    expected: tuple
+    def __init__(self, ok: bool, group_order: int, induced: tuple, expected: tuple):
+        set_field(self, "ok", ok)
+        set_field(self, "group_order", group_order)
+        set_field(self, "induced", induced)
+        set_field(self, "expected", expected)
 
 
 def action_lift_check(r: int, m: int, a: int) -> ActionLiftReport:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul, sub
 
@@ -27,10 +26,10 @@ from .errors import (
     UndefinedWeightError,
 )
 from .quotient import Polynomial
+from .record import Record, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSystem:
+class WeightSystem(Record):
     """Blow-up weights: positive integers with gcd 1, over a group of order m.
 
     Unlike quotient-type weights these are never reduced mod m; they are the
@@ -39,20 +38,18 @@ class WeightSystem:
     explicitly and learn the factor.
     """
 
-    weights: tuple
-    m: int = 1
-
-    def __post_init__(self):
-        ws = tuple(self.weights)
+    def __init__(self, weights: tuple, m: int = 1):
+        ws = tuple(weights)
         _, g = normalize_weights(ws)  # the positive-weights rule and the gcd
         if g != 1:
             raise InvalidWeightsError(
                 f"weights {ws} have gcd {g}; divide it out first"
                 " (WeightSystem.normalized does this and reports the factor)"
             )
-        if not isinstance(self.m, int) or type(self.m) is bool or self.m < 1:
-            raise InvalidWeightsError(f"group order must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "weights", ws)
+        if not isinstance(m, int) or type(m) is bool or m < 1:
+            raise InvalidWeightsError(f"group order must be a positive integer, got {m!r}")
+        set_field(self, "weights", ws)
+        set_field(self, "m", m)
 
     @classmethod
     def normalized(cls, weights, m: int = 1) -> tuple["WeightSystem", int]:
@@ -95,8 +92,7 @@ def polynomial_weight(f: Polynomial, system: WeightSystem) -> Fraction:
     return f.weighed(system.weights, system.m)[1]
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedIdeal:
+class WeightedIdeal(Record):
     """The monomial ideal of weight >= k, by its unique minimal generators.
 
     Invariants: every generator has weight >= k, no generator divides
@@ -104,9 +100,10 @@ class WeightedIdeal:
     Generators are sorted by (weight, lex).
     """
 
-    system: WeightSystem
-    k: Fraction
-    gens: tuple
+    def __init__(self, system: WeightSystem, k: Fraction, gens: tuple):
+        set_field(self, "system", system)
+        set_field(self, "k", k)
+        set_field(self, "gens", gens)
 
     @property
     def threshold_numerator(self) -> Fraction:
@@ -225,8 +222,7 @@ def contains(ideal: WeightedIdeal, f: Polynomial) -> bool:
     return by_weight
 
 
-@dataclass(frozen=True, slots=True)
-class TruncationReport:
+class TruncationReport(Record):
     """Comparison of the level-d*b ideal with the d-th power of the level-b ideal.
 
     ``containment_ok`` records the inclusion power <= truncation, which holds
@@ -235,14 +231,18 @@ class TruncationReport:
     in the power when they do not.
     """
 
-    system: WeightSystem
-    b: Fraction
-    d: int
-    truncation: WeightedIdeal
-    power_gens: tuple
-    equal: bool
-    witness: tuple | None
-    containment_ok: bool
+    def __init__(
+        self, system: WeightSystem, b: Fraction, d: int, truncation: WeightedIdeal,
+        power_gens: tuple, equal: bool, witness: tuple | None, containment_ok: bool,
+    ):
+        set_field(self, "system", system)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+        set_field(self, "truncation", truncation)
+        set_field(self, "power_gens", power_gens)
+        set_field(self, "equal", equal)
+        set_field(self, "witness", witness)
+        set_field(self, "containment_ok", containment_ok)
 
 
 def _power_split(g: tuple, weights: tuple, lo: int, hi: int):

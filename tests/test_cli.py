@@ -587,6 +587,28 @@ class TestMainEntry:
             "message": "the result holds an integer of more than 4300 digits, too long to be written as text",
         }
 
+    @pytest.mark.parametrize(
+        "command, parameters, name",
+        [
+            ("lift-check", {"sigma_prime": "1,2", "m": 1, "a": 1, "dmax": 10**5000}, "dmax"),
+            ("lift-check", {"sigma_prime": "1,2", "m": 10**4400, "a": -(10**4301), "dmax": 3}, "a"),
+            ("ideal", {"k": 10**5000}, "k"),  # the wrong type too: refused before validation
+        ],
+        ids=["dmax", "first-in-name-order", "before-validation"],
+    )
+    def test_run_refuses_an_over_long_parameter_and_its_report_renders(self, command, parameters, name):
+        target = "1/1(1,2)" if command == "ideal" else None
+        report = run(RunSpec(command, target, parameters))
+        assert (report.status, report.exit_code, report.result) == ("error", 1, None)
+        message = (
+            f"parameter {name!r} holds an integer of more than 4300 digits, too long to be written as text"
+        )
+        assert report.error == {"kind": "out-of-domain", "message": message}
+        echo = json.loads(report.to_json())["input"]["parameters"]
+        long = {key for key, value in parameters.items() if type(value) is int and abs(value) > 10**4300}
+        assert {key for key in echo if echo[key] == "<an integer of more than 4300 digits>"} == long
+        assert f"error[out-of-domain]: {message}" in report.to_text().splitlines()
+
     def test_over_long_integer_in_a_message_exits_1_with_report(self, capsys):
         # lcm(weights)/m has 4,401 digits; the refusal of b spells it, which the interpreter refuses
         target = f"1/1(1{'0' * 2200},1{'0' * 2199}1)"

@@ -31,11 +31,48 @@ def test_dir_lists_every_export():
 
 
 def test_importing_the_cli_does_not_load_lifting():
-    code = "import json, sys, wblow.cli; print(json.dumps([m for m in sys.modules if 'wblow' in m]))"
+    code = "import json, sys, wblow.cli; print(json.dumps(list(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "wblow.cli" in loaded and "wblow.lifting" not in loaded
+    assert not {"dataclasses", "inspect", "wblow.blowup"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, wanted, unwanted",
+    [
+        (["ideal", "1/5(1,2,3,4)", "--k", "2"], set(), {"wblow.blowup", "dataclasses"}),
+        (["charts", "1/1(1,2,3)"], {"wblow.blowup"}, {"dataclasses"}),
+        (
+            ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--dmax", "3"],
+            {"wblow.lifting"},
+            set(),
+        ),
+    ],
+    ids=["ideal", "charts", "lift-check"],
+)
+def test_a_command_loads_only_the_modules_it_needs(argv, wanted, unwanted):
+    # the report goes to stdout first; the last line is main's exit code and the loaded modules
+    code = (
+        "import json, sys\n"
+        "from wblow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, list(sys.modules)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0 and wanted <= set(loaded) and not unwanted & set(loaded)
+
+
+def test_the_cli_module_names_blowup_and_nothing_else():
+    import wblow.blowup
+    import wblow.cli
+
+    assert wblow.cli.blowup is wblow.blowup
+    with pytest.raises(AttributeError, match="'wblow.cli' has no attribute 'no_such_name'"):
+        wblow.cli.no_such_name
 
 
 def test_main_module_imports_without_running():

@@ -3,7 +3,7 @@
 A cycle outlives its call until the cyclic garbage collector runs, and
 whatever it holds (a staircase walk's rows, say) goes with it; the
 collections then land on an arbitrary later call.  Each golden batch entry,
-a few larger ones and two refused as too long to write, is run once to warm
+a few larger ones and three refused as too long to write, is run once to warm
 caches and imports, then again with the collector off: after ``del`` of the
 report, ``gc.collect()`` must find nothing.  A walk with a planted closure
 cycle must fail the same check.
@@ -31,6 +31,8 @@ ENTRIES = json.loads((GOLDEN / "batch.json").read_text(encoding="utf-8")) + [
     # results too long to write, refused by run: a weight of 4,301 digits, an lcm of 4,401
     {"command": "wt", "target": "1/1(1,9)", "parameters": {"poly": "x2^" + "9" * 4300}},
     {"command": "wt", "target": f"1/1(1{'0' * 2200},1{'0' * 2199}1)", "parameters": {"poly": "x1"}},
+    # a parameter too long to write, refused by run before validation (a library call only)
+    {"command": "lift-check", "parameters": {"sigma_prime": "1,2", "m": 1, "a": 1, "dmax": 10**5000}},
 ]
 SPECS = [RunSpec(e["command"], e.get("target"), e.get("parameters", {})) for e in ENTRIES]
 IDS = [f"{i}-{spec.command}" for i, spec in enumerate(SPECS)]
