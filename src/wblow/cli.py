@@ -13,8 +13,8 @@ and a batch entry fails alike in text and JSON.
 Every command is defined once, in ``COMMANDS``: its handler, its target
 reader (None if it takes no target), its help line and its parameters with
 their defaults.  The argparse subparsers, ``validate_spec``, target parsing,
-defaults, dispatch and ``spec_from_args`` all come from that table, so argv
-and batch entries are validated by the same code.
+defaults, dispatch and ``spec_from_args`` all come from that table, so argv,
+batch entries and library ``RunSpec``s are validated by the same code.
 
 The environment variable WBLOW_MAX_ENUM caps enumeration work (default 50
 million; the budget paragraph of README.md lists what each enumeration is
@@ -589,7 +589,13 @@ def _has_type(value, type_: type) -> bool:
 
 
 def validate_spec(spec: RunSpec) -> None:
-    """Check the command, target and parameter names, types and presence."""
+    """Check the shape, then the command, target and parameter names, types and presence."""
+    if not isinstance(spec.command, str):
+        raise InvalidInstanceError(f"command must be a string, got {_echo(spec.command)!r}")
+    if spec.target is not None and not isinstance(spec.target, str):
+        raise InvalidInstanceError(f"target must be a string, got {_echo(spec.target)!r}")
+    if not isinstance(spec.parameters, dict):
+        raise InvalidInstanceError(f"parameters must be an object, got {_echo(spec.parameters)!r}")
     command = COMMANDS.get(spec.command)
     if command is None:
         raise InvalidInstanceError(f"unknown command {spec.command!r}")
@@ -601,11 +607,11 @@ def validate_spec(spec: RunSpec) -> None:
     for name, value in spec.parameters.items():
         param = params.get(name)
         if param is None:
-            raise InvalidInstanceError(f"unknown parameter {name!r} for {spec.command!r}")
+            raise InvalidInstanceError(f"unknown parameter {_echo(name)!r} for {spec.command!r}")
         if not _has_type(value, param.type):
             raise InvalidInstanceError(
                 f"parameter {name!r} of {spec.command!r} must be {param.type.__name__},"
-                f" got {value!r}"
+                f" got {_echo(value)!r}"
             )
     for p in command.params:
         if p.required and p.name not in spec.parameters:
@@ -622,20 +628,41 @@ def _too_long(value) -> bool:
     return False
 
 
+def _digits() -> str:
+    return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _echo(value):
+    """``value`` if JSON holds it exactly (it reads back equal), else a note string naming it."""
+    if _too_long(value):
+        return f"<{_digits()}>"
+    try:
+        if json.loads(json.dumps(value, allow_nan=False)) == value:
+            return value
+    except (TypeError, ValueError, RecursionError):  # no JSON type, or nan, inf or a cycle
+        pass
+    return f"<{type(value).__name__} value that JSON cannot hold>"
+
+
 def run(spec: RunSpec) -> Report:
     """Validate, parse the target, fill in defaults, dispatch, and wrap the outcome.
 
-    An integer past the interpreter's int-to-str limit makes the run an
-    out-of-domain report: in a parameter, refused first and echoed as a
-    note, or met while the handler ran, or in the result, which is encoded
+    The input is echoed value by value, each one JSON cannot hold exactly
+    as a note (``_echo``).  An integer past the interpreter's int-to-str
+    limit makes the run an out-of-domain report: in a parameter, refused
+    first, or met while the handler ran, or in the result, which is encoded
     once (``json.dumps``, the C encoder) before it is wrapped.  So every
     report returned renders, in text and in JSON.
     """
-    parameters = dict(sorted(spec.parameters.items()))
-    too_long = [name for name, value in parameters.items() if _too_long(value)]
-    digits = f"an integer of more than {sys.get_int_max_str_digits()} digits"
-    parameters.update(dict.fromkeys(too_long, f"<{digits}>"))
-    input_echo = {"target": spec.target, "parameters": parameters}
+    name = spec.command if isinstance(spec.command, str) else str(_echo(spec.command))
+    params, too_long = spec.parameters, []
+    if isinstance(params, dict) and all(isinstance(key, str) for key in params):
+        parameters = {key: _echo(params[key]) for key in sorted(params)}
+        too_long = [key for key in parameters if _too_long(params[key])]
+    else:  # not an object of named values: echoed whole
+        parameters = _echo(params)
+    input_echo = {"target": _echo(spec.target), "parameters": parameters}
+    digits = _digits()
     try:
         if too_long:
             raise OutOfDomainError(
@@ -648,12 +675,12 @@ def run(spec: RunSpec) -> Report:
         result, provenance, ok = command.handler(target, params)
         json.dumps(result)
     except WblowError as exc:
-        return _error_report(spec.command, input_echo, exc)
+        return _error_report(name, input_echo, exc)
     except ValueError as exc:  # the result, a rational or a message spelled with a too-long integer
         if not _is_digit_limit_error(exc):
             raise
         refusal = OutOfDomainError(f"the result holds {digits}, too long to be written as text")
-        return _error_report(spec.command, input_echo, refusal)
+        return _error_report(name, input_echo, refusal)
     return Report(
         command=spec.command,
         input=input_echo,
@@ -680,22 +707,13 @@ def _read_batch(path: str) -> list:
 
 
 def _spec_of_entry(entry) -> RunSpec:
-    """Check the shape of one batch entry; validate_spec checks the rest."""
+    """Check that a batch entry is an object of known keys; validate_spec checks the rest."""
     if not isinstance(entry, dict):
         raise InvalidInstanceError("each batch entry must be an object")
     unknown = set(entry) - {"command", "target", "parameters"}
     if unknown:
         raise InvalidInstanceError(f"unknown batch entry keys: {sorted(unknown)}")
-    command = entry.get("command", "")
-    target = entry.get("target")
-    parameters = entry.get("parameters", {})
-    if not isinstance(command, str):
-        raise InvalidInstanceError(f"batch entry command must be a string, got {command!r}")
-    if target is not None and not isinstance(target, str):
-        raise InvalidInstanceError(f"batch entry target must be a string, got {target!r}")
-    if not isinstance(parameters, dict):
-        raise InvalidInstanceError(f"batch entry parameters must be an object, got {parameters!r}")
-    return RunSpec(command, target, parameters)
+    return RunSpec(entry.get("command", ""), entry.get("target"), entry.get("parameters", {}))
 
 
 def run_batch(path: str) -> Report:

@@ -17,20 +17,23 @@ a prefix of weight W fails at degree d iff ceil(u/A) != max(1, ceil((u +
 delta)/A)) for u = d*b - W > min(a*b, A), and then the least element of
 W's residue class mod A in the semigroup of section weights fails too.
 Whether W fails depends only on its residue: the failing residues at degree
-d are (s + j) mod A for j < min(|delta|, A), with s = d*b if delta > 0 and
-s = d*b + delta if delta < 0 (all of them once |delta| >= A).  So each degree
-looks up the least minimum of those classes: one AND of a bitset of the
-semigroup's elements below L with a mask of the failing residues.  That
-bitset is the last of the section's suffix bitsets, Python ints in which
-bit v of suffix k is set iff v < L is a sum of the last k section weights,
-and the witness prefix is read off the same suffixes.  They are built by
-shift-and-or once per sweep, or once per mutation study for all its
-offsets, and dropped with it: L is the sweep's largest threshold
-d*b - min(a*b, A) or F + 1 + A, F being Brauer's bound on the Frobenius
-number of the section weights (Amer. J. Math. 64 (1942)), whichever is
-smaller, and 1 once every class fails; a study takes its offsets' largest
-L.  delta = 0 leaves no failing residue, so derived instances pass without
-the suffixes being built.
+d are (s + j) mod A for j < min(|delta|, A), with s = d*b + min(delta, 0)
+(all of them once |delta| >= A).  So each degree looks up the least minimum
+of those classes in a bitset of the semigroup's elements below L, with one
+shift and one AND: a sweep builds the mask of the j once, repeated every A
+bits, and degree d shifts it right by A - (s mod A).  That bitset is the
+last of the section's suffix bitsets, Python ints in which bit v of suffix
+k is set iff v < L is a sum of the last k section weights, and the witness
+prefix is read off the same suffixes.  They are built by shift-and-or once
+per sweep, or once per mutation study for all its offsets, and dropped
+with it: L is the sweep's largest threshold d*b - min(a*b, A) or F + 1 + A,
+F being Brauer's bound on the Frobenius number of the section weights
+(Amer. J. Math. 64 (1942)), whichever is smaller, and 1 once every class
+fails; a study takes its offsets' largest L.  A study charges every offset
+against one read of the budget, sweeps each offset's lifted weight on the
+instance it was given and keeps only the first failing degree.  delta = 0
+leaves no failing residue, so derived instances pass without the suffixes
+being built.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .arith import ceil_div, check_enum_budget, lex_walk, normalize_weights, suffix_sums
+from .arith import (
+    ceil_div, check_enum_budget, lex_walk, max_enum_points, normalize_weights, suffix_sums,
+)
 from .errors import InternalConsistencyError, InvalidInstanceError
 from .quotient import CyclicQuotientType, HyperquotientType, lift_type
 
@@ -71,15 +76,18 @@ class LiftInstance:
             raise InvalidInstanceError(f"group order must be a positive integer, got {m!r}")
         if not isinstance(multiplier, int) or type(multiplier) is bool or multiplier < 1:
             raise InvalidInstanceError(f"multiplier must be a positive integer, got {multiplier!r}")
-        if lifted_weight < 1:
+        if not isinstance(lifted_weight, int) or type(lifted_weight) is bool or lifted_weight < 1:
             raise InvalidInstanceError(
-                f"mutated lifted weight {lifted_weight} is not a positive weight"
+                f"mutated lifted weight {lifted_weight!r} is not a positive weight"
             )
         if weights is not None and weights != base_weights + (lifted_weight,):
             raise InternalConsistencyError("weights must be base_weights plus the lifted weight")
-        values = (base_weights, m, multiplier, normalization_factor, base_lcm, lifted_weight)
-        for name, value in zip(self.__slots__, values):  # the fields, in order
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "base_weights", base_weights)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "normalization_factor", normalization_factor)
+        object.__setattr__(self, "base_lcm", base_lcm)
+        object.__setattr__(self, "lifted_weight", lifted_weight)
 
     @property
     def weights(self) -> tuple:
@@ -118,10 +126,20 @@ def make_lift_instance(base_weights, m: int, multiplier: int) -> LiftInstance:
 
 def mutated_instance(inst: LiftInstance, delta: int) -> LiftInstance:
     """Copy with the lifted weight offset by delta; the constructor refuses a non-positive one."""
+    if not isinstance(delta, int) or type(delta) is bool:
+        raise InvalidInstanceError(f"delta must be an integer, got {delta!r}")
     if delta == 0:
         raise InvalidInstanceError("delta 0 is not a mutation")
     return LiftInstance(inst.base_weights, inst.m, inst.multiplier, inst.normalization_factor,
                         inst.base_lcm, inst.multiplier * inst.base_lcm + delta)
+
+
+def _check_degree(value, name: str) -> None:
+    """Refuse a degree (bound) that is not an integer, a bool included, or is below 1."""
+    if not isinstance(value, int) or type(value) is bool:
+        raise InvalidInstanceError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInstanceError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,20 +168,9 @@ class CheckReport:
         return "pass" if self.passed else "fail"
 
 
-def _least_set_bit(bits: int, modulus: int, start: int, count: int):
-    """The least class minimum of residues start .. start + count - 1 mod modulus, else inf.
-
-    The window of those residues, wrapped mod modulus, is copied across the
-    bitset by doubling, so one AND gives the set bits of those classes.  A
-    window bit past modulus stands for a residue the wrap already set.
-    """
-    window = ((1 << count) - 1) << start
-    window |= window >> modulus  # the residues past modulus wrap to 0
-    width = modulus
-    while width < bits.bit_length():
-        window |= window << width
-        width += width
-    hit = bits & window
+def _least_failing(bits: int, window: int, shift: int):
+    """The least set bit of bits in window >> shift, else inf: one degree's lookup."""
+    hit = bits & (window >> shift)
     return (hit & -hit).bit_length() - 1 if hit else math.inf
 
 
@@ -174,7 +181,7 @@ def _sum_limit(inst: LiftInstance, d_max: int, lifted_weights) -> int:
     appended, and L is the largest of theirs.  With A appended, only the
     class minima below top = d_max*b - min(a*b, A), the sweep's largest
     threshold, can fail, and its L is the least of three bounds past which
-    no minimum that ``_violation`` looks up lies (and at least 1):
+    no minimum that ``_first_failure`` looks up lies (and at least 1):
     - top;
     - F + g + lcm(g, A), where g is the gcd of the section weights and
       F = sum over i of lcm(a_{i+1}, d_i) - sum of a_i, with a_1 <= ... <=
@@ -189,8 +196,8 @@ def _sum_limit(inst: LiftInstance, d_max: int, lifted_weights) -> int:
     Each lcm(a_{i+1}, d_i) divides b, so F < (k - 1)*b; with |delta| < A,
     b < 2A/a, so for g = 1, L < (2k - 1)*A + 1: a bitset below L has fewer
     bits than twice the k*A steps of a round-robin table of the class
-    minima, and a window of A bits reaches across it in at most
-    ceil(log2(2k - 1)) doublings.
+    minima, and a window of A bits reaches across it and one more period
+    in at most ceil(log2(2k)) doublings.
     """
     ab = inst.multiplier * inst.base_lcm
     weights = sorted(inst.base_weights)
@@ -210,7 +217,7 @@ def _semigroup_bits(base: tuple, limit: int) -> list:
 
     Entry k has bit v set iff v < limit is a sum of the last k section
     weights (``arith.suffix_sums``), so the least set bit of a class mod A
-    in the last entry is that class's minimum, and ``_violation`` reads the
+    in the last entry is that class's minimum, and ``_first_failure`` reads the
     witness prefix off the entries before it.  A limit above a sweep's own
     L adds no class minimum below any of its thresholds: a class minimum
     below L is read the same, and L bounds every one that is looked up.
@@ -218,51 +225,55 @@ def _semigroup_bits(base: tuple, limit: int) -> list:
     return suffix_sums(base, [(limit - 1) // w for w in base], limit - 1)
 
 
-def _violation(inst: LiftInstance, d: int, chain: list) -> Violation | None:
-    """The witness at the least failing class minimum, or None when degree d passes.
+def _first_failure(inst: LiftInstance, a_n: int, degrees: range, chain: list):
+    """(d, witness monomial) at the first degree that fails with a_n appended, or None.
 
-    The failing classes are (s + j) mod A for j < min(|delta|, A), s = d*b
-    for delta > 0 and d*b + delta for delta < 0; a minimum mu in one of them
-    fails iff it lies below d*b - min(a*b, A).  ``_least_set_bit`` finds
-    the least minimum of those classes by one AND of the semigroup bitset,
-    the last of the suffix bitsets ``chain`` (``_semigroup_bits``), with
-    their mask.  The least such mu is re-checked against the definition;
-    the witness prefix is the lexicographically least one of weight mu,
-    which ``arith.lex_walk`` reads off the suffix bitsets, and its weight is
-    recomputed.
+    The failing classes at degree d are (s + j) mod A for j < min(|delta|,
+    A), s = d*b + min(delta, 0); a minimum mu in one of them fails iff it
+    lies below d*b - min(a*b, A).  The window of those j is built once: its
+    mask repeated every A bits, by doubling, past the semigroup bitset (the
+    last of the suffix bitsets ``chain``, ``_semigroup_bits``) by one period.
+    Shifted right by A - (s mod A) it masks degree d's classes, so each
+    degree costs one shift and one AND (``_least_failing``).  The least such
+    mu is re-checked against the definition; the witness prefix is the
+    lexicographically least one of weight mu, which ``arith.lex_walk`` reads
+    off the suffix bitsets, and its weight is recomputed.
     """
-    a_n = inst.lifted_weight
-    ab = inst.multiplier * inst.base_lcm
-    delta = a_n - ab
-    db = d * inst.base_lcm
-    bound = db - min(ab, a_n)
-    start = (db if delta > 0 else db + delta) % a_n
-    w_prefix = _least_set_bit(chain[-1], a_n, start, min(abs(delta), a_n))
-    if w_prefix >= bound:
+    b, ab = inst.base_lcm, inst.multiplier * inst.base_lcm
+    delta, bits, cut = a_n - ab, chain[-1], min(ab, a_n)
+    window, width, low = (1 << min(abs(delta), a_n)) - 1, a_n, min(delta, 0)
+    while width < bits.bit_length() + a_n:
+        window |= window << width
+        width += width
+    for d in degrees:
+        mu = _least_failing(bits, window, a_n - (d * b + low) % a_n)
+        if mu < d * b - cut:
+            break
+    else:
         return None
-
-    u = db - w_prefix
-    first_top = ceil_div(u, a_n)
-    first_shifted = max(1, ceil_div(u + delta, a_n))
+    u = d * b - mu
+    first_top, first_shifted = ceil_div(u, a_n), max(1, ceil_div(u + delta, a_n))
     if first_top == first_shifted:
         raise InternalConsistencyError(
-            f"class minimum {w_prefix} lies in a failing residue class at degree {d}"
+            f"class minimum {mu} lies in a failing residue class at degree {d}"
             " but satisfies the decomposition"
         )
-    s_n = min(first_top, first_shifted)
     base = inst.base_weights
-    prefix = lex_walk(base, [w_prefix // w for w in base], chain, w_prefix, w_prefix)
-    if prefix is None or sum(map(mul, prefix, base)) != w_prefix:
-        raise InternalConsistencyError(f"weight {w_prefix} marked achievable but not realizable")
-    monomial = prefix + (s_n,)
+    prefix = lex_walk(base, [mu // w for w in base], chain, mu, mu)
+    if prefix is None or sum(map(mul, prefix, base)) != mu:
+        raise InternalConsistencyError(f"weight {mu} marked achievable but not realizable")
+    return d, prefix + (min(first_top, first_shifted),)
+
+
+def _explained(inst: LiftInstance, d: int, monomial: tuple) -> Violation:
+    """The witness record of a monomial at which degree d fails, with its explanation."""
+    db, lower_is_unit = d * inst.base_lcm, d <= inst.multiplier
     lower = (d - inst.multiplier) * inst.base_lcm
-    lower_is_unit = (d - inst.multiplier) <= 0
-    total = w_prefix + s_n * a_n
-    in_top = total >= db
-    in_lower = lower_is_unit or (total - a_n) >= lower
+    total = sum(map(mul, monomial, inst.weights))
+    in_lower = lower_is_unit or (total - inst.lifted_weight) >= lower
     explanation = (
         f"at degree {d}: monomial {monomial} has weight {total};"
-        f" level-{db} membership is {in_top} but dividing by the last"
+        f" level-{db} membership is {total >= db} but dividing by the last"
         f" variable gives level-{lower if not lower_is_unit else 'unit'}"
         f" membership {in_lower}"
     )
@@ -279,22 +290,19 @@ def _charge(inst: LiftInstance, degrees: range, what: str) -> None:
     check_enum_budget(steps, what)
 
 
-def _sweep(inst: LiftInstance, degrees: range, chain: list | None = None) -> CheckReport:
+def _sweep(inst: LiftInstance, degrees: range) -> CheckReport:
     """Check the charged degrees in order up to the first failing one.
 
-    The class minima and witnesses are read off the suffix bitsets
-    ``chain`` of the section weights (``_semigroup_bits``).  A mutation
-    study passes the one chain it builds for all its offsets; otherwise the
-    sweep builds its own below L (``_sum_limit``) and drops it on return.
-    With delta = 0 nothing is built.
+    The class minima and witnesses are read off the suffix bitsets of the
+    section weights (``_semigroup_bits``), built below L (``_sum_limit``)
+    and dropped on return.  With delta = 0 nothing is built.
     """
     if inst.is_derived:
         return CheckReport(inst, degrees, None)
-    if chain is None:
-        limit = _sum_limit(inst, degrees.stop - 1, (inst.lifted_weight,))
-        chain = _semigroup_bits(inst.base_weights, limit)
-    v = next(filter(None, (_violation(inst, d, chain) for d in degrees)), None)
-    return CheckReport(inst, degrees, v)
+    limit = _sum_limit(inst, degrees.stop - 1, (inst.lifted_weight,))
+    chain = _semigroup_bits(inst.base_weights, limit)
+    found = _first_failure(inst, inst.lifted_weight, degrees, chain)
+    return CheckReport(inst, degrees, found and _explained(inst, *found))
 
 
 def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
@@ -310,10 +318,9 @@ def verify_decomposition(inst: LiftInstance, d: int) -> CheckReport:
     does the least semigroup element of its class mod A: the degree fails
     iff a class minimum below d*b - min(a*b, A) fails, and the witness is
     the lex-smallest prefix of the least such minimum.  Which classes can
-    fail, and so which class minima are looked up, is in ``_violation``.
+    fail, and so which class minima are looked up, is in ``_first_failure``.
     """
-    if d < 1:
-        raise InvalidInstanceError(f"d must be >= 1, got {d}")
+    _check_degree(d, "d")
     degrees = range(d, d + 1)
     _charge(inst, degrees, f"decomposition check at degree {d}")
     return _sweep(inst, degrees)
@@ -325,8 +332,7 @@ def verify_decomposition_range(inst: LiftInstance, d_max: int) -> CheckReport:
     The whole sweep is charged to the budget before it starts, and it stops
     at the first failing degree.
     """
-    if d_max < 1:
-        raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
+    _check_degree(d_max, "d_max")
     degrees = range(1, d_max + 1)
     _charge(inst, degrees, f"decomposition sweep to degree {d_max}")
     return _sweep(inst, degrees)
@@ -366,26 +372,28 @@ def mutation_study(inst: LiftInstance, d_max: int) -> MutationStudy:
     """Offset the lifted weight by each of -3..-1 and 1..3 that keeps it positive, and sweep d.
 
     Every offset's sweep is charged first, in offset order, as
-    ``verify_decomposition_range`` charges it.  Only then is one chain of
-    suffix bitsets built, below the largest L of the offsets
-    (``_sum_limit``), and every sweep reads it: the offsets share the
-    section weights, and a larger L changes no verdict (``_semigroup_bits``).
+    ``verify_decomposition_range`` charges it, against one read of the
+    budget.  Only then is one chain of suffix bitsets built, below the
+    largest L of the offsets (``_sum_limit``), and each offset's lifted
+    weight is swept on ``inst`` itself, for its first failing degree: the
+    offsets share the section weights, and a larger L changes no verdict
+    (``_semigroup_bits``).
     """
-    if d_max < 1:
-        raise InvalidInstanceError(f"d_max must be >= 1, got {d_max}")
-    degrees, what = range(1, d_max + 1), f"decomposition sweep to degree {d_max}"
+    _check_degree(d_max, "d_max")
     ab = inst.multiplier * inst.base_lcm
     deltas = [delta for delta in (-3, -2, -1, 1, 2, 3) if ab + delta >= 1]
-    mutants = [mutated_instance(inst, delta) for delta in deltas]
-    for mut in mutants:
-        _charge(mut, degrees, what)
-    limit = _sum_limit(inst, d_max, [mut.lifted_weight for mut in mutants])
-    chain = _semigroup_bits(inst.base_weights, limit)
+    lifted = [ab + delta for delta in deltas]
+    limit = max_enum_points()
+    for a_n in lifted:
+        steps = (len(inst.base_weights) + d_max) * a_n
+        if steps > limit:
+            check_enum_budget(steps, f"decomposition sweep to degree {d_max}")  # raises
+    degrees = range(1, d_max + 1)
+    chain = _semigroup_bits(inst.base_weights, _sum_limit(inst, d_max, lifted))
     outcomes = []
-    for delta, mut in zip(deltas, mutants):
-        failure = _sweep(mut, degrees, chain).counterexample
-        first_fail = None if failure is None else failure.d
-        outcomes.append(MutationOutcome(delta, mut.lifted_weight, first_fail))
+    for delta, a_n in zip(deltas, lifted):
+        found = _first_failure(inst, a_n, degrees, chain)
+        outcomes.append(MutationOutcome(delta, a_n, found and found[0]))
     return MutationStudy(inst, d_max, tuple(outcomes))
 
 

@@ -13,7 +13,9 @@ lookup; ``scan_first_violation`` is the former sorted scan of the class
 minima, kept as the reference for the residue lookup at sizes the box engine
 cannot afford; it takes the minima from ``sorted_class_minima``, the sorted
 ``class_minima``, the former round-robin table, kept as the reference for
-the semigroup bitset, and builds its witnesses with ``prefix_for_weight``, the former witness builder,
+the semigroup bitset; ``least_set_bit`` is the former per-degree window of
+failing residues, kept as the reference for the one shifted window per
+sweep; ``scan_first_violation`` builds its witnesses with ``prefix_for_weight``, the former witness builder,
 kept as the reference for ``arith.lex_walk``, the witness walk that
 ``arith.lex_least`` and the lifting check share;
 ``sum_of_two_monoid_basis`` is the former invariant-basis route, kept as the
@@ -739,6 +741,25 @@ def class_minima(weights: tuple, modulus: int) -> list:
                 else:
                     table[r] = best
     return table
+
+
+def least_set_bit(bits: int, modulus: int, start: int, count: int):
+    """The least class minimum of residues start .. start + count - 1 mod modulus, else inf.
+
+    The former per-degree lookup of the lifting check, kept as the
+    reference for its shifted window: the window of those residues, wrapped
+    mod modulus, is built afresh and copied across the bitset by doubling,
+    so one AND gives the set bits of those classes.  A window bit past
+    modulus stands for a residue the wrap already set.
+    """
+    window = ((1 << count) - 1) << start
+    window |= window >> modulus  # the residues past modulus wrap to 0
+    width = modulus
+    while width < bits.bit_length():
+        window |= window << width
+        width += width
+    hit = bits & window
+    return (hit & -hit).bit_length() - 1 if hit else math.inf
 
 
 def sorted_class_minima(weights: tuple, modulus: int) -> list:

@@ -108,11 +108,20 @@ STR_VALUES = {
     "f": polynomials(),
 }
 
+#: values JSON has no type for, or none that reads back the same; floats include nan and inf
+NON_JSON = st.one_of(
+    st.sets(st.integers(0, 3), max_size=2),
+    st.binary(max_size=4),
+    st.floats(),
+    st.tuples(st.integers(-3, 9), st.text(max_size=2)),
+    st.dictionaries(st.text(max_size=2), st.dictionaries(st.integers(0, 2), st.floats(), max_size=2), max_size=2),
+)
+
 #: values of any type but the parameter's own
 OTHER_TYPES = {
-    int: st.one_of(st.text(max_size=4), st.booleans(), st.none()),
-    str: st.one_of(st.integers(-3, 9), st.booleans(), st.none()),
-    bool: st.one_of(st.integers(0, 1), st.text(max_size=4), st.none()),
+    int: st.one_of(st.text(max_size=4), st.booleans(), st.none(), NON_JSON),
+    str: st.one_of(st.integers(-3, 9), st.booleans(), st.none(), NON_JSON),
+    bool: st.one_of(st.integers(0, 1), st.text(max_size=4), st.none(), NON_JSON),
 }
 
 INT_VALUES = mostly(st.integers(1, 6), st.integers(-2, 12), st.integers(-(10**30), 10**30))
@@ -143,7 +152,17 @@ def specs(draw):
         params[param.name] = draw(OTHER_TYPES[param.type])
     if draw(st.integers(0, 19)) == 5:
         params["no_such_parameter"] = 1
+    if draw(st.integers(0, 19)) == 6:  # a key that is not a string
+        params[draw(st.one_of(st.integers(-3, 9), st.none(), st.tuples(st.integers(0, 2))))] = 1
+    if draw(st.integers(0, 9)) == 3:  # a target that is not a string
+        target = draw(st.one_of(st.integers(-3, 9), st.binary(max_size=8), NON_JSON))
+    if draw(st.integers(0, 19)) == 7:  # parameters that are not an object
+        params = draw(st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=2), st.text(max_size=3)))
     return RunSpec(name, target, params)
+
+
+def reject_constant(name):
+    raise AssertionError(f"the report holds {name}, which strict JSON has not")
 
 
 def assert_typed_report(report: Report) -> None:
@@ -167,12 +186,19 @@ def assert_typed_report(report: Report) -> None:
 @example(RunSpec("lift-check", None, {"sigma_prime": "1,2", "m": 1, "a": 1, "dmax": 10**30}))
 @example(RunSpec("chain", "1/5(1,2,3)", {"a_sequence": "9,9,9,9,9,9"}))
 @example(RunSpec("truncation", "1/7(5,5,4,4,4)", {"find_stable": True, "limit": 10**30}))
+@example(RunSpec("ideal", 5, {"k": "1"}))
+@example(RunSpec("ideal", b"1/1(1,2)", {"k": "1"}))
+@example(RunSpec("ideal", "1/1(1,2)", None))
+@example(RunSpec("ideal", "1/1(1,2)", {"k": {1, 2}}))
+@example(RunSpec("ideal", "1/1(1,2)", {"k": b"1"}))
+@example(RunSpec("ideal", "1/1(1,2)", {"k": object()}))
+@example(RunSpec("ideal", "1/1(1,2)", {"k": float("nan")}))
 def test_every_spec_ends_in_a_typed_report(spec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("WBLOW_MAX_ENUM", "20000")
         report = run(spec)
     assert_typed_report(report)
-    # run refuses a result too long to write, so every report it returns renders
-    VALIDATOR.validate(json.loads(report.to_json()))
+    # run refuses a result too long to write, so every report it returns renders, as strict JSON
+    VALIDATOR.validate(json.loads(report.to_json(), parse_constant=reject_constant))
     report.to_text()
     json.dumps(report.result)

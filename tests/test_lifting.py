@@ -16,6 +16,7 @@ from helpers import (
     box_first_violation,
     box_verify_decomposition,
     class_minima,
+    least_set_bit,
     prefix_for_weight,
     scan_first_violation,
     verify_generator_lift,
@@ -332,8 +333,42 @@ class TestSemigroupBitset:
         for start, count in windows:
             for below in (1, min(a_n, top), top):  # no minimum past top is looked up
                 want = min(table[(start + j) % a_n] for j in range(count))
-                got = lifting_mod._least_set_bit(bits, a_n, start, count)
+                got = least_set_bit(bits, a_n, start, count)
                 assert min(got, below) == min(want, below), (start, count, below)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    @example(lift_case((1, 2), 1, 3, 40, 1))  # A = 5: at d = 2 the window 4, 0, 1 wraps past A
+    @example(lift_case((1, 2), 2, 5, 40, 1))  # A = 9: at d = 3 the window 6 .. 10 wraps past A
+    @example(lift_case((2, 3), 2, -11, 40, 1))  # A = 1 < |delta|
+    @example(lift_case((4, 6), 3, -15, 40, 1))  # |delta| = 5 A: every class fails
+    @example(lift_case((1, 3), 3, -4, 40, 1))  # A = 5, delta < 0: the window 4 .. 7 wraps at d = 1
+    @example(lift_case((7, 11, 13), 1, 1, 40, 1))  # A = 1,002: d = 1 passes, d = 2 fails
+    def test_shifted_window_is_the_per_degree_window(self, case):
+        import wblow.lifting as lifting_mod
+
+        inst, d_max, _ = case
+        if inst.is_derived:
+            return
+        b, a_n, ab = inst.base_lcm, inst.lifted_weight, inst.multiplier * inst.base_lcm
+        delta, count = a_n - ab, min(abs(a_n - ab), a_n)
+        real, lookups = lifting_mod._least_failing, []
+
+        def recorded(bits, window, shift):
+            lookups.append((bits, real(bits, window, shift)))
+            return lookups[-1][1]
+
+        with mock.patch.object(lifting_mod, "_least_failing", recorded):
+            report = verify_decomposition_range(inst, d_max)
+        # one lookup per degree, up to the first failing one
+        assert len(lookups) == (d_max if report.passed else report.counterexample.d)
+        table = class_minima(inst.base_weights, a_n)
+        top = d_max * b - min(ab, a_n)  # no minimum past top is looked up
+        for d, (bits, got) in enumerate(lookups, start=1):
+            start = (d * b + min(delta, 0)) % a_n
+            assert got == least_set_bit(bits, a_n, start, count), d
+            want = min(table[(start + j) % a_n] for j in range(count))
+            assert min(got, top) == min(want, top), d
 
 
 class TestResidueCrossCheck:
@@ -343,17 +378,17 @@ class TestResidueCrossCheck:
     def lying_lookup(self, monkeypatch):
         import wblow.lifting as lifting_mod
 
-        real = lifting_mod._least_set_bit
+        real = lifting_mod._least_failing
 
-        def altered(bits, modulus, start, count):
+        def altered(bits, window, shift):
             # sections (1, 2), a = 1, A = 3 (delta = +1): at d = 2 the failing
             # class is 4 mod 3 = 1, whose least element 1 is read as 0,
             # a value that satisfies the decomposition
-            if (1 - start) % modulus < count:
+            if window >> shift & 2:
                 return 0
-            return real(bits, modulus, start, count)
+            return real(bits, window, shift)
 
-        monkeypatch.setattr(lifting_mod, "_least_set_bit", altered)
+        monkeypatch.setattr(lifting_mod, "_least_failing", altered)
         return mutated_instance(make_lift_instance((1, 2), 1, 1), +1)
 
     def test_unaltered_table_fails_at_degree_two(self):
@@ -385,6 +420,19 @@ class TestResidueCrossCheck:
             "kind": "internal-consistency",
             "message": "weight 1 marked achievable but not realizable",
         }
+
+    def test_mutation_study_raises(self, lying_lookup):
+        # of the offsets -1, 1, 2, 3 of a*b = 2, +1 is the one above
+        with pytest.raises(InternalConsistencyError, match="^class minimum 0 lies in a failing"):
+            mutation_study(make_lift_instance((1, 2), 1, 1), 6)
+
+    def test_mutation_study_catches_an_unrealizable_weight(self, monkeypatch):
+        import wblow.lifting as lifting_mod
+
+        # offset -1 gives A = 1: every class fails, and the least minimum 0 is not realized
+        monkeypatch.setattr(lifting_mod, "lex_walk", lambda weights, caps, suffixes, lo, hi: None)
+        with pytest.raises(InternalConsistencyError, match="^weight 0 marked achievable but not realizable$"):
+            mutation_study(make_lift_instance((1, 2), 1, 1), 6)
 
     def test_lift_check_exits_3_with_a_typed_report(self, lying_lookup, capsys):
         argv = ["lift-check", "--sigma-prime", "1,2", "--m", "1", "--a", "1", "--mutate", "1"]
@@ -533,27 +581,23 @@ class TestMutationStudy:
         import wblow.lifting as lifting_mod
 
         ab = inst.multiplier * inst.base_lcm
-        reports, chains = [], []
-        real_sweep, real_semigroup_bits = lifting_mod._sweep, lifting_mod._semigroup_bits
-
-        def sweep(*args):
-            reports.append(real_sweep(*args))
-            return reports[-1]
+        chains = []
+        real_semigroup_bits = lifting_mod._semigroup_bits
 
         def semigroup_bits(*args):
             chains.append(real_semigroup_bits(*args))
             return chains[-1]
 
-        with mock.patch.multiple(lifting_mod, _sweep=sweep, _semigroup_bits=semigroup_bits):
+        with mock.patch.object(lifting_mod, "_semigroup_bits", semigroup_bits):
             study = mutation_study(inst, d_max)
         assert len(chains) == 1  # one chain for every offset
         assert [o.delta for o in study.outcomes] == [
             delta for delta in (-3, -2, -1, 1, 2, 3) if ab + delta >= 1
         ]
         base = inst.base_weights
-        for outcome, report in zip(study.outcomes, reports, strict=True):
+        for outcome in study.outcomes:
             mut = mutated_instance(inst, outcome.delta)
-            assert report == verify_decomposition_range(mut, d_max)
+            report = verify_decomposition_range(mut, d_max)
             assert report.counterexample == scan_first_violation(mut, d_max)
             first_fail = None if report.passed else report.counterexample.d
             assert outcome == MutationOutcome(outcome.delta, mut.lifted_weight, first_fail)
@@ -637,6 +681,47 @@ class TestChainReport:
         assert report.status == "fail"
         assert report.halted_at == 2
         assert len(report.stages) == 2
+
+
+class TestIntegerArguments:
+    """Degrees, offsets and lifted weights that are not integers, bools among them, are refused."""
+
+    INST = make_lift_instance((1, 2), 1, 1)
+    START = HyperquotientType(CyclicQuotientType(1, (1, 1, 1)), Polynomial.zero(3), 0)
+
+    @staticmethod
+    def refused(call, message):
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_constructor(self):
+        for lifted in (2.5, 2.0, True):
+            self.refused(lambda: LiftInstance((1, 2), 1, 1, 1, 2, lifted),
+                         f"mutated lifted weight {lifted!r} is not a positive weight")
+
+    def test_mutated_instance(self):
+        for delta in (0.5, 2.0, True):
+            self.refused(lambda: mutated_instance(self.INST, delta),
+                         f"delta must be an integer, got {delta!r}")
+
+    def test_verify_decomposition(self):
+        for d in (True, 2.0):
+            self.refused(lambda: verify_decomposition(self.INST, d), f"d must be an integer, got {d!r}")
+
+    def test_verify_decomposition_range(self):
+        for d_max in (True, 2.0):
+            self.refused(lambda: verify_decomposition_range(self.INST, d_max),
+                         f"d_max must be an integer, got {d_max!r}")
+
+    def test_mutation_study(self):
+        for d_max in (True, 2.0):
+            self.refused(lambda: mutation_study(self.INST, d_max),
+                         f"d_max must be an integer, got {d_max!r}")
+
+    def test_chain_report(self):
+        for d_max in (True, 2.0):
+            self.refused(lambda: chain_report(self.START, (1,), d_max),
+                         f"d_max must be an integer, got {d_max!r}")
 
 
 class TestInstanceChecks:
