@@ -95,7 +95,9 @@ def fan_is_subdivision(fan: Fan) -> bool:
 
 
 def _check_chart_index(i: int, n: int) -> None:
-    """Refuse a chart or cone index outside 1..n."""
+    """Refuse a chart or cone index that is not an integer, a bool included, or is outside 1..n."""
+    if not isinstance(i, int) or type(i) is bool:
+        raise InvalidInstanceError(f"chart index must be an integer, got {i!r}")
     if not 1 <= i <= n:
         raise DimensionError(f"chart index {i} out of range 1..{n}")
 

@@ -18,11 +18,12 @@ quotient notation and are reduced mod m by the type constructors.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
 from .errors import NotationError
-from .quotient import CyclicQuotientType, HyperquotientType, Polynomial
+from .quotient import CyclicQuotientType, HyperquotientType, Polynomial, check_nvars
 from .wideal import WeightSystem
 
 _DIGITS = re.compile(r"[0-9]+")
@@ -156,11 +157,16 @@ def parse_singularity(text: str):
     return CyclicQuotientType(m, tuple(weights))
 
 
+@functools.lru_cache(maxsize=64)
 def parse_weight_system(text: str) -> WeightSystem:
     """Parse '1/m(a1,...,an)' as blow-up weights: positive, gcd 1, unreduced.
 
     The head is one match of the head pattern; only a text it refuses is
     read again by the scanner, which raises with the fault's position.
+    Memoised by the text, as ``blowup.chart`` is: a repeated text returns
+    the one frozen ``WeightSystem``, and a refused text raises on every
+    call, since exceptions are not cached.  The cache is kept small because
+    callers work through a few weight systems at a time.
     """
     sc = _Scanner(text)
     m, weights = _parse_prefix(sc)
@@ -188,14 +194,17 @@ def _refuse_factors(sc: _Scanner, text: str, span: tuple, nvars: int) -> None:
 def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
     """Parse a polynomial in variables x1..x{nvars} with integer coefficients.
 
-    The body is read one term at a time: a term match gives the sign, the
-    coefficient and the span of the factors, and one ``findall`` gives the
-    factors, each checked (index in range, then a positive power).  Only a
-    term whose factors fail a check, or hit int()'s digit limit, is read
-    again factor by factor to name the first fault and its position.  Where
-    a term stops short of '+', '-' or the end, the scanner names what it
-    expected there.
+    ``nvars`` is checked before the text is read.  The body is read one
+    term at a time: a term match gives the sign, the coefficient and the
+    span of the factors, and one ``findall`` gives the factors, each
+    checked (index in range, then a positive power).  Only a term whose
+    factors fail a check, or hit int()'s digit limit, is read again factor
+    by factor to name the first fault and its position.  Where a term stops
+    short of '+', '-' or the end, the scanner names what it expected there.
+    The terms are valid by construction, so the polynomial is built by
+    ``Polynomial._fill`` without the constructor's checks.
     """
+    check_nvars(nvars)
     sc = _Scanner(text, offset=offset)
     if sc.at_end():
         sc.error("empty polynomial")
@@ -233,7 +242,7 @@ def parse_polynomial(text: str, nvars: int, offset: int = 0) -> Polynomial:
         coeff = sc.integer(digits, term.start(2)) if digits else 1
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
-    return Polynomial(nvars, terms)
+    return object.__new__(Polynomial)._fill(nvars, terms)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -28,6 +28,12 @@ from .errors import (
 from .record import Record, set_field
 
 
+def check_nvars(nvars) -> None:
+    """Refuse a variable count that is not an int, a bool included, or is below 1."""
+    if not isinstance(nvars, int) or type(nvars) is bool or nvars < 1:
+        raise DimensionError(f"nvars must be a positive integer, got {nvars!r}")
+
+
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
@@ -41,8 +47,7 @@ class Polynomial:
     """
 
     def __init__(self, nvars: int, terms: Mapping[ExpVec, Fraction] | Iterable = ()):
-        if not isinstance(nvars, int) or type(nvars) is bool or nvars < 1:
-            raise DimensionError(f"nvars must be a positive integer, got {nvars!r}")
+        check_nvars(nvars)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for exp, coeff in items:
@@ -51,9 +56,24 @@ class Polynomial:
                 raise DimensionError(f"exponent {e} has length {len(e)}, expected {nvars}")
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             acc[e] = acc[e] + c if e in acc else c
+        self._fill(nvars, acc)
+
+    def _fill(self, nvars: int, terms: dict) -> "Polynomial":
+        """Set the fields from terms that are valid by construction; returns self.
+
+        ``terms`` maps distinct exponent tuples of length ``nvars`` (non-negative
+        ints) to rational coefficients; they are converted to ``Fraction``,
+        zeros are dropped and the exponents sorted.  Nothing is re-checked:
+        the constructor validates first, and the notation parser builds only
+        valid terms, so it calls ``object.__new__(Polynomial)._fill`` directly.
+        This is the only code that sets the fields.
+        """
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", dict(sorted((e, c) for e, c in acc.items() if c)))
+        object.__setattr__(self, "_terms", {
+            e: c if type(c) is Fraction else Fraction(c) for e, c in sorted(terms.items()) if c
+        })
         object.__setattr__(self, "_weighed", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

@@ -239,6 +239,28 @@ class TestChartCache:
         assert ch.numerators == ((2, 0), (3, 5))
 
 
+_SYSTEM = WeightSystem((2, 3), 1)
+_F = Polynomial.variable(2, 1)
+
+
+@pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i: chart(_SYSTEM, i),
+        lambda i: cone_index(build_fan(_SYSTEM), i),
+        lambda i: exceptional_valuation(_F, _SYSTEM, i),
+        lambda i: strict_transform_in_chart(_F, _SYSTEM, i),
+    ],
+    ids=["chart", "cone_index", "exceptional_valuation", "strict_transform_in_chart"],
+)
+def test_chart_index_must_be_an_int(call, index):
+    for _ in range(2):  # a refused chart index is not cached either
+        with pytest.raises(InvalidInstanceError) as exc:
+            call(index)
+        assert str(exc.value) == f"chart index must be an integer, got {index!r}"
+
+
 @st.composite
 def chart_cases(draw):
     """A weight system (n 1..4, weights 1..12 with gcd 1, m 1..6), a chart and a support of 1..11 terms."""

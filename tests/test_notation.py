@@ -8,7 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import wblow.notation as notation_mod
 from helpers import scanner_parse_polynomial, scanner_parse_prefix
-from wblow.errors import InvalidWeightsError, NotationError, NotSemiInvariantError, WblowError
+from wblow.errors import (
+    DimensionError,
+    InvalidWeightsError,
+    NotationError,
+    NotSemiInvariantError,
+    WblowError,
+)
 from wblow.notation import (
     format_rational,
     parse_polynomial,
@@ -75,6 +81,31 @@ class TestParseWeightSystem:
             parse_weight_system("1/1(2,4)")
 
 
+class TestWeightSystemMemo:
+    def test_repeated_text_is_the_same_record(self):
+        first = parse_weight_system("1/4(1,2,3)")
+        assert parse_weight_system("1/4(1,2,3)") is first
+        assert first == WeightSystem((1, 2, 3), 4)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("1/1(2,4)", InvalidWeightsError), ("1/1(2,,4)", NotationError)],
+        ids=["gcd-2", "parse-error"],
+    )
+    def test_refused_text_raises_on_every_call(self, text, error):
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                parse_weight_system(text)
+            outcomes.append((str(exc.value), getattr(exc.value, "position", None)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_cache_holds_at_most_64_records(self):
+        for k in range(70):
+            parse_weight_system(f"1/{k + 1}(1,{k + 2})")
+        assert parse_weight_system.cache_info().currsize == 64
+
+
 class TestParsePolynomial:
     def test_products_and_powers(self):
         p = parse_polynomial("2*x1^2*x2-x2^3+5", nvars=2)
@@ -113,6 +144,13 @@ class TestParsePolynomial:
     def test_cancellation(self):
         assert parse_polynomial("x1-x1", nvars=1).is_zero
 
+    @pytest.mark.parametrize("text", ["5", "x1", ""])
+    @pytest.mark.parametrize("nvars", [0, -1, True, 2.0, "2"])
+    def test_nvars_is_checked_before_the_text(self, text, nvars):
+        with pytest.raises(DimensionError) as exc:
+            parse_polynomial(text, nvars)
+        assert str(exc.value) == f"nvars must be a positive integer, got {nvars!r}"
+
 
 # Tokens of the ASCII grammar and some near misses, so that drawn bodies are
 # often valid and otherwise fail at every kind of place.
@@ -150,7 +188,13 @@ class TestAgainstScannerParser:
     @example("x5^0x", 4, 2)  # the range check comes first
     def test_same_polynomial_or_same_error(self, text, nvars, offset):
         expected = _outcome(scanner_parse_polynomial, text, nvars, offset)
-        assert _outcome(parse_polynomial, text, nvars, offset) == expected
+        got = _outcome(parse_polynomial, text, nvars, offset)
+        assert got == expected
+        if isinstance(got, Polynomial):
+            # == cannot see an int coefficient (Fraction(3) == 3) or an unsorted term map
+            items = list(got.items())
+            assert items == list(expected.items()) and items == sorted(items)
+            assert all(type(c) is Fraction and c != 0 for _, c in items)
 
 
 # Head tokens: the grammar's own, every kind of whitespace the scanner skips
@@ -198,7 +242,8 @@ class TestHeadAgainstScanner:
     @example("1/1(1," + "1" * (_LIMIT + 1) + ")")
     @example("1/5(1,4;0){g=x1*x2}")
     def test_same_object_or_same_error(self, text):
-        for parse in (parse_weight_system, parse_singularity):
+        # the weight system is parsed past its memo, which would answer the second call
+        for parse in (parse_weight_system.__wrapped__, parse_singularity):
             pattern_route = _parsed(parse, text)
             with mock.patch.object(notation_mod, "_parse_prefix", scanner_parse_prefix):
                 assert _parsed(parse, text) == pattern_route
